@@ -6,12 +6,17 @@
 #define CONFCARD_BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "ce/guarded.h"
 #include "ce/lwnn.h"
 #include "ce/mscn.h"
 #include "ce/naru.h"
 #include "common/check.h"
+#include "conformal/scoring.h"
+#include "conformal/split.h"
 #include "data/datasets.h"
 #include "harness/scale.h"
 #include "harness/single_table.h"
@@ -114,6 +119,45 @@ inline NaruConfig NaruDefaults() {
   c.num_samples = 32;
   c.max_train_rows = Scaled(40000, 2000);
   return c;
+}
+
+/// The stack the serving benches drive: one LW-NN trained once on the
+/// train split, one GuardedEstimator per shard over it, and split
+/// conformal (q-error scoring) calibrated on the model's batched
+/// calibration estimates. A guard keeps its own breaker state and does
+/// not own its primary, so every shard shares the one immutable model.
+struct ServingStack {
+  Splits splits;
+  std::unique_ptr<LwnnEstimator> model;
+  std::vector<std::unique_ptr<GuardedEstimator>> guards;
+  std::vector<const GuardedEstimator*> shard_guards;
+  std::unique_ptr<SplitConformal> scp;
+  double num_rows = 0.0;
+};
+
+inline ServingStack BuildServingStack(const Table& table, int shards,
+                                      double alpha) {
+  ServingStack s;
+  s.splits = MakeSplits(table);
+  s.num_rows = static_cast<double>(table.num_rows());
+  s.model = std::make_unique<LwnnEstimator>(LwnnDefaults());
+  CONFCARD_CHECK(s.model->Train(table, s.splits.train).ok());
+  for (int i = 0; i < shards; ++i) {
+    s.guards.push_back(std::make_unique<GuardedEstimator>(*s.model, table));
+    s.shard_guards.push_back(s.guards.back().get());
+  }
+  std::vector<Query> calib_q;
+  std::vector<double> truths;
+  for (const LabeledQuery& lq : s.splits.calib) {
+    calib_q.push_back(lq.query);
+    truths.push_back(lq.cardinality);
+  }
+  std::vector<double> estimates(calib_q.size());
+  s.model->EstimateBatch(calib_q.data(), calib_q.size(), estimates.data());
+  s.scp =
+      std::make_unique<SplitConformal>(MakeScoring(ScoreKind::kQError), alpha);
+  CONFCARD_CHECK(s.scp->Calibrate(estimates, truths).ok());
+  return s;
 }
 
 inline void PrintScaleNote() {

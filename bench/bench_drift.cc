@@ -130,45 +130,7 @@ Scenario BuildScenario(double severity, size_t num_queries) {
   return Scenario{severity, std::move(specs), std::move(stream)};
 }
 
-// ------------------------------------------------------------------
-// Serving stack (mirrors bench_serving: identically-trained replicas,
-// SplitConformal calibrated on replica 0's healthy batched estimates).
-// ------------------------------------------------------------------
-
-struct Stack {
-  bench::Splits splits;
-  std::vector<std::unique_ptr<LwnnEstimator>> replicas;
-  std::vector<std::unique_ptr<GuardedEstimator>> guards;
-  std::vector<const GuardedEstimator*> shard_guards;
-  std::unique_ptr<SplitConformal> scp;
-  double num_rows = 0.0;
-};
-
-Stack BuildStack(const Table& pre_table, int shards) {
-  Stack s;
-  s.splits = bench::MakeSplits(pre_table);
-  s.num_rows = static_cast<double>(pre_table.num_rows());
-  for (int i = 0; i < shards; ++i) {
-    auto model = std::make_unique<LwnnEstimator>(bench::LwnnDefaults());
-    CONFCARD_CHECK(model->Train(pre_table, s.splits.train).ok());
-    s.guards.push_back(std::make_unique<GuardedEstimator>(*model, pre_table));
-    s.shard_guards.push_back(s.guards.back().get());
-    s.replicas.push_back(std::move(model));
-  }
-  std::vector<Query> calib_q;
-  std::vector<double> truths;
-  for (const LabeledQuery& lq : s.splits.calib) {
-    calib_q.push_back(lq.query);
-    truths.push_back(lq.cardinality);
-  }
-  std::vector<double> estimates(calib_q.size());
-  s.replicas[0]->EstimateBatch(calib_q.data(), calib_q.size(),
-                               estimates.data());
-  s.scp =
-      std::make_unique<SplitConformal>(MakeScoring(ScoreKind::kQError), kAlpha);
-  CONFCARD_CHECK(s.scp->Calibrate(estimates, truths).ok());
-  return s;
-}
+using Stack = bench::ServingStack;
 
 ServeFrontEnd::Options FrontOptions(bool feedback, size_t feedback_capacity) {
   ServeFrontEnd::Options o = ServeFrontEnd::Options::FromEnv();
@@ -456,7 +418,8 @@ int Main() {
   }
   // All scenarios share the base spec, so the pre-drift table (and the
   // stack trained on it) is common.
-  Stack stack = BuildStack(scenarios[0].stream.pre_table, shards);
+  const Stack stack =
+      bench::BuildServingStack(scenarios[0].stream.pre_table, shards, kAlpha);
 
   // ---- gate 2: zero-alloc serve+feedback hot path (pre-drift segment).
   const AllocResult allocs =
@@ -494,10 +457,12 @@ int Main() {
   bool replay1 = false;
   bool replay4 = false;
   {
-    Stack s1 = BuildStack(worst.stream.pre_table, 1);
+    const Stack s1 =
+        bench::BuildServingStack(worst.stream.pre_table, 1, kAlpha);
     replay1 = RunClosedLoop(s1, worst.stream.stream, true) ==
               RunClosedLoop(s1, worst.stream.stream, true);
-    Stack s4 = BuildStack(worst.stream.pre_table, 4);
+    const Stack s4 =
+        bench::BuildServingStack(worst.stream.pre_table, 4, kAlpha);
     replay4 = RunClosedLoop(s4, worst.stream.stream, true) ==
               RunClosedLoop(s4, worst.stream.stream, true);
   }

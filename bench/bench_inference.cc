@@ -1,7 +1,7 @@
 // Inference-engine speedup bench: the sparsity-aware Naru progressive
 // sampler (one-hot weight gathers + active-path compaction + per-block
-// output columns) against the dense reference path, and batched MSCN
-// estimation against the per-query loop — both measured in the same run
+// output columns) against the dense reference sampler, and batched MSCN
+// estimation against a loop of batches of one — both measured in the same run
 // on the same trained weights, at 1 thread so the numbers isolate the
 // algorithmic win from pool parallelism. Emits BENCH_inference.json and
 // CONFCARD_CHECKs that every compared pair of results is bit-identical
@@ -55,25 +55,23 @@ void TimeInterleaved(const BaseFn& base, const OptFn& opt, Comparison* cmp) {
   }
 }
 
-// BM_NaruProgressiveSample: dense per-query sampling vs the sparse
-// cross-query batched engine. Both paths reseed their sampler per call,
-// so repetitions reproduce the same bits.
+// BM_NaruProgressiveSample: the dense per-query reference sampler vs the
+// sparse cross-query batched engine. Both paths reseed their sampler per
+// call, so repetitions reproduce the same bits.
 Comparison BenchNaruProgressiveSample(const NaruEstimator& naru,
+                                      double num_rows,
                                       const std::vector<Query>& queries) {
   Comparison cmp;
-  NaruEstimator& mut = const_cast<NaruEstimator&>(naru);
 
   std::vector<double> dense(queries.size());
   std::vector<double> sparse(queries.size());
   TimeInterleaved(
       [&] {
-        mut.set_sparse_inference(false);
         for (size_t i = 0; i < queries.size(); ++i) {
-          dense[i] = naru.EstimateCardinality(queries[i]);
+          dense[i] = naru.ReferenceSelectivity(queries[i]) * num_rows;
         }
       },
       [&] {
-        mut.set_sparse_inference(true);
         naru.EstimateBatch(queries.data(), queries.size(), sparse.data());
       },
       &cmp);
@@ -88,7 +86,8 @@ Comparison BenchNaruProgressiveSample(const NaruEstimator& naru,
   return cmp;
 }
 
-// BM_MscnEstimateBatch: per-query GEMV loop vs one packed batch forward.
+// BM_MscnEstimateBatch: a loop of batches of one (one GEMV-shaped
+// forward per query) vs one packed batch forward.
 Comparison BenchMscnEstimateBatch(const MscnEstimator& mscn,
                                   const std::vector<Query>& queries) {
   Comparison cmp;
@@ -220,14 +219,14 @@ int Main() {
 
   NaruEstimator naru(bench::NaruDefaults());
   CONFCARD_CHECK(naru.Train(table).ok());
-  Comparison naru_cmp = BenchNaruProgressiveSample(naru, queries);
+  Comparison naru_cmp = BenchNaruProgressiveSample(
+      naru, static_cast<double>(table.num_rows()), queries);
 
   MscnEstimator mscn(bench::MscnDefaults());
   CONFCARD_CHECK(mscn.Train(table, splits.train).ok());
   Comparison mscn_cmp = BenchMscnEstimateBatch(mscn, queries);
 
   // SIMD off/on at 1 thread on the two kernel-bound engine paths.
-  naru.set_sparse_inference(true);
   Comparison naru_simd = BenchSimdToggle("naru", queries, [&](double* out) {
     naru.EstimateBatch(queries.data(), queries.size(), out);
   });

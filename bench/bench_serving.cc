@@ -77,47 +77,7 @@ double Percentile(std::vector<double> values, double q) {
   return values[std::max<size_t>(idx, 0)];
 }
 
-// The serving stack under test: identically-trained per-shard replicas
-// (same options + deterministic training = interchangeable models), one
-// guard each, and a conformal predictor calibrated on the healthy
-// batched estimates of the calibration split.
-struct Stack {
-  Table table;
-  bench::Splits splits;
-  std::vector<std::unique_ptr<LwnnEstimator>> replicas;
-  std::vector<std::unique_ptr<GuardedEstimator>> guards;
-  std::vector<const GuardedEstimator*> shard_guards;
-  std::unique_ptr<SplitConformal> scp;
-  double num_rows = 0.0;
-};
-
-Stack BuildStack(int shards) {
-  // Aggregate init: Table has no default constructor.
-  Stack s{MakeDmv(bench::DefaultRows(), 3).value()};
-  s.splits = bench::MakeSplits(s.table);
-  s.num_rows = static_cast<double>(s.table.num_rows());
-  for (int i = 0; i < shards; ++i) {
-    auto model = std::make_unique<LwnnEstimator>(bench::LwnnDefaults());
-    CONFCARD_CHECK(model->Train(s.table, s.splits.train).ok());
-    s.guards.push_back(
-        std::make_unique<GuardedEstimator>(*model, s.table));
-    s.shard_guards.push_back(s.guards.back().get());
-    s.replicas.push_back(std::move(model));
-  }
-  std::vector<Query> calib_q;
-  std::vector<double> truths;
-  for (const LabeledQuery& lq : s.splits.calib) {
-    calib_q.push_back(lq.query);
-    truths.push_back(lq.cardinality);
-  }
-  std::vector<double> estimates(calib_q.size());
-  s.replicas[0]->EstimateBatch(calib_q.data(), calib_q.size(),
-                               estimates.data());
-  s.scp = std::make_unique<SplitConformal>(MakeScoring(ScoreKind::kQError),
-                                           0.1);
-  CONFCARD_CHECK(s.scp->Calibrate(estimates, truths).ok());
-  return s;
-}
+using Stack = bench::ServingStack;
 
 // ------------------------------------------------------------------
 // Gate 1: batched-vs-per-query bit identity through the live pipeline.
@@ -373,7 +333,8 @@ int Main() {
       hardware_threads, shards, options.max_batch, options.flush_timeout_us,
       slo_p99_us);
 
-  Stack stack = BuildStack(shards);
+  const Table table = MakeDmv(bench::DefaultRows(), 3).value();
+  const Stack stack = bench::BuildServingStack(table, shards, /*alpha=*/0.1);
   ServeFrontEnd front(stack.shard_guards, *stack.scp, stack.num_rows,
                       options);
 

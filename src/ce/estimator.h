@@ -29,12 +29,12 @@ class CardinalityEstimator {
   /// Estimated COUNT(*) for `query`, in tuples (>= 0).
   virtual double EstimateCardinality(const Query& query) const = 0;
 
-  /// Estimates `n` queries, writing results to out[0..n). Semantically a
-  /// loop over EstimateCardinality — and that is the default — but
-  /// batch-capable estimators override it to amortize model forwards
-  /// (one GEMM instead of n GEMVs, shared progressive-sampling steps).
-  /// Overrides must return bit-identical values to the per-query loop;
-  /// determinism_test enforces this.
+  /// Estimates `n` queries, writing results to out[0..n). The default is
+  /// a loop over EstimateCardinality. The learned models invert this:
+  /// EstimateBatch is their only inference path (one GEMM instead of n
+  /// GEMVs, shared progressive-sampling steps) and EstimateCardinality is
+  /// a batch of one. Either way each value must be bit-identical to the
+  /// same query estimated alone; determinism_test enforces this.
   virtual void EstimateBatch(const Query* queries, size_t n,
                              double* out) const {
     for (size_t i = 0; i < n; ++i) out[i] = EstimateCardinality(queries[i]);

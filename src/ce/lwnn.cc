@@ -146,22 +146,8 @@ Status LwnnEstimator::Train(const Table& table, const Workload& workload) {
 }
 
 double LwnnEstimator::EstimateCardinality(const Query& query) const {
-  CONFCARD_CHECK_MSG(net_ != nullptr, "lw-nn: not trained");
-  static obs::Counter& queries =
-      obs::Metrics().GetCounter("ce.lw-nn.queries");
-  static obs::Histogram& latency =
-      obs::Metrics().GetHistogram("ce.lw-nn.infer_us");
-  Stopwatch watch;
-  nn::Tensor in = nn::Tensor::Uninitialized(1, flat_->dim() + 2);
-  FeaturesInto(query, in.RowPtr(0));
-  nn::Tensor out = net_->Apply(in);
-  double card = std::exp(static_cast<double>(out.At(0, 0))) - 1.0;
-  latency.Record(watch.ElapsedMicros());
-  queries.Increment();
-  card = std::clamp(card, 0.0, num_rows_);
-  if (fault::Enabled()) {
-    card = fault::PerturbValue("lwnn.forward", QueryContentKey(query), card);
-  }
+  double card = 0.0;
+  EstimateBatch(&query, 1, &card);
   return card;
 }
 
@@ -181,7 +167,7 @@ void LwnnEstimator::EstimateBatch(const Query* queries, size_t n,
   // recurring size performs no heap allocation at all (the serving
   // front-end's bench gates this).
   for (size_t i = 0; i < n; ++i) FeaturesInto(queries[i], in.RowPtr(i));
-  nn::Tensor pred = net_->ApplyFused(in);
+  nn::Tensor pred = net_->Apply(in);
   const bool faults = fault::Enabled();
   for (size_t i = 0; i < n; ++i) {
     const double card = std::exp(static_cast<double>(pred.At(i, 0))) - 1.0;

@@ -34,10 +34,11 @@ class LwnnEstimator : public SupervisedEstimator {
   explicit LwnnEstimator(Options options);
 
   std::string name() const override { return "lw-nn"; }
+  /// A batch of one through EstimateBatch.
   double EstimateCardinality(const Query& query) const override;
   /// Packs all featurized queries into one Tensor and runs a single
-  /// Apply (GEMM instead of n GEMVs). Bit-identical to the per-query
-  /// loop.
+  /// Apply (GEMM instead of n GEMVs). Each estimate is bit-identical to
+  /// the same query's batch of one.
   void EstimateBatch(const Query* queries, size_t n,
                      double* out) const override;
 

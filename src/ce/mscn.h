@@ -26,10 +26,12 @@ class MscnEstimator : public SupervisedEstimator {
   explicit MscnEstimator(Options options);
 
   std::string name() const override { return "mscn"; }
+  /// A batch of one through EstimateBatch.
   double EstimateCardinality(const Query& query) const override;
-  /// Featurizes all queries and runs one packed MscnModel forward (a
-  /// GEMM over the batch instead of n GEMVs). Bit-identical to the
-  /// per-query loop.
+  /// Featurizes all queries straight into packed set tensors and runs
+  /// one MscnModel forward per 256-query chunk (a GEMM over the batch
+  /// instead of n GEMVs). Each estimate is bit-identical to the same
+  /// query's batch of one.
   void EstimateBatch(const Query* queries, size_t n,
                      double* out) const override;
 
@@ -72,10 +74,11 @@ class MscnJoinEstimator {
   uint64_t instance_id() const { return instance_id_; }
 
   Status Train(const Database& db, const JoinWorkload& workload);
+  /// A batch of one through EstimateBatch.
   double EstimateCardinality(const JoinQuery& query) const;
-  /// Batched counterpart of EstimateCardinality (one packed forward;
-  /// bit-identical results). Mirrors CardinalityEstimator::EstimateBatch
-  /// for the join-query type.
+  /// One packed forward per 256-query chunk; each estimate is
+  /// bit-identical to the same query's batch of one. Mirrors
+  /// CardinalityEstimator::EstimateBatch for the join-query type.
   void EstimateBatch(const JoinQuery* queries, size_t n, double* out) const;
 
   std::unique_ptr<MscnJoinEstimator> CloneArchitecture(

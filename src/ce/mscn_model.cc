@@ -61,16 +61,8 @@ void PoolMeanInto(const nn::Tensor& elems, const std::vector<size_t>& offsets,
   }
 }
 
-// Mean-pools per-sample segments of `elems` into a (B, dim) tensor.
-nn::Tensor PoolMean(const nn::Tensor& elems,
-                    const std::vector<size_t>& offsets, size_t batch) {
-  nn::Tensor out(batch, elems.cols());
-  PoolMeanInto(elems, offsets, batch, &out, 0);
-  return out;
-}
-
 // Distributes pooled gradients back to set elements (inverse of
-// PoolMean).
+// PoolMeanInto).
 nn::Tensor UnpoolMean(const nn::Tensor& grad_pooled,
                       const std::vector<size_t>& offsets,
                       size_t total_elems) {
@@ -120,30 +112,40 @@ std::vector<nn::Parameter*> MscnModel::Parameters() {
   return out;
 }
 
+MscnPackedBatch MscnModel::Pack(
+    const std::vector<const MscnInput*>& batch) const {
+  MscnPackedBatch packed;
+  packed.batch_size = batch.size();
+  packed.tables =
+      PackSet(batch, &MscnInput::tables, table_dim_, &packed.table_offsets);
+  packed.joins =
+      PackSet(batch, &MscnInput::joins, join_dim_, &packed.join_offsets);
+  packed.predicates = PackSet(batch, &MscnInput::predicates, pred_dim_,
+                              &packed.pred_offsets);
+  return packed;
+}
+
 nn::Tensor MscnModel::Forward(const std::vector<const MscnInput*>& batch) {
-  batch_size_ = batch.size();
+  MscnPackedBatch packed = Pack(batch);
+  batch_size_ = packed.batch_size;
   const size_t h = config_.set_hidden;
 
   nn::Tensor pooled(batch_size_, 3 * h);
 
-  auto run_set = [&](const std::vector<std::vector<float>> MscnInput::*member,
-                     nn::Mlp* mlp, size_t dim, SetScratch* scratch,
-                     size_t out_offset) {
-    nn::Tensor packed = PackSet(batch, member, dim, &scratch->offsets);
+  auto run_set = [&](const nn::Tensor& elems, std::vector<size_t>* offsets,
+                     nn::Mlp* mlp, SetScratch* scratch, size_t out_offset) {
+    scratch->offsets = std::move(*offsets);
     scratch->any = scratch->offsets.back() > 0;
     if (!scratch->any) return;  // all sets empty: pooled stays zero
-    nn::Tensor hidden = mlp->Forward(packed);
-    nn::Tensor mean = PoolMean(hidden, scratch->offsets, batch_size_);
-    for (size_t b = 0; b < batch_size_; ++b) {
-      std::copy(mean.RowPtr(b), mean.RowPtr(b) + h,
-                pooled.RowPtr(b) + out_offset);
-    }
+    nn::Tensor hidden = mlp->Forward(elems);
+    PoolMeanInto(hidden, scratch->offsets, batch_size_, &pooled, out_offset);
   };
 
-  run_set(&MscnInput::tables, table_mlp_.get(), table_dim_, &table_scratch_,
-          0);
-  run_set(&MscnInput::joins, join_mlp_.get(), join_dim_, &join_scratch_, h);
-  run_set(&MscnInput::predicates, pred_mlp_.get(), pred_dim_,
+  run_set(packed.tables, &packed.table_offsets, table_mlp_.get(),
+          &table_scratch_, 0);
+  run_set(packed.joins, &packed.join_offsets, join_mlp_.get(), &join_scratch_,
+          h);
+  run_set(packed.predicates, &packed.pred_offsets, pred_mlp_.get(),
           &pred_scratch_, 2 * h);
 
   return out_mlp_->Forward(pooled);
@@ -242,30 +244,10 @@ Status MscnModel::DeserializeParams(ArchiveReader* reader) {
   return Status::OK();
 }
 
-nn::Tensor MscnModel::Apply(const std::vector<const MscnInput*>& batch) const {
-  const size_t batch_size = batch.size();
-  const size_t h = config_.set_hidden;
-
-  nn::Tensor pooled(batch_size, 3 * h);
-
-  auto run_set = [&](const std::vector<std::vector<float>> MscnInput::*member,
-                     const nn::Mlp* mlp, size_t dim, size_t out_offset) {
-    std::vector<size_t> offsets;
-    nn::Tensor packed = PackSet(batch, member, dim, &offsets);
-    if (offsets.back() == 0) return;  // all sets empty: pooled stays zero
-    nn::Tensor hidden = mlp->Apply(packed);
-    PoolMeanInto(hidden, offsets, batch_size, &pooled, out_offset);
-  };
-
-  run_set(&MscnInput::tables, table_mlp_.get(), table_dim_, 0);
-  run_set(&MscnInput::joins, join_mlp_.get(), join_dim_, h);
-  run_set(&MscnInput::predicates, pred_mlp_.get(), pred_dim_, 2 * h);
-
-  return out_mlp_->Apply(pooled);
-}
-
-nn::Tensor MscnModel::ApplyPacked(const MscnPackedBatch& batch) const {
+void MscnModel::PredictLogCardPacked(const MscnPackedBatch& batch,
+                                     double* out) const {
   const size_t batch_size = batch.batch_size;
+  if (batch_size == 0) return;
   const size_t h = config_.set_hidden;
 
   nn::Tensor pooled(batch_size, 3 * h);
@@ -274,7 +256,7 @@ nn::Tensor MscnModel::ApplyPacked(const MscnPackedBatch& batch) const {
                      const std::vector<size_t>& offsets, const nn::Mlp* mlp,
                      size_t out_offset) {
     if (offsets.empty() || offsets.back() == 0) return;  // all sets empty
-    nn::Tensor hidden = mlp->ApplyFused(packed);
+    nn::Tensor hidden = mlp->Apply(packed);
     PoolMeanInto(hidden, offsets, batch_size, &pooled, out_offset);
   };
 
@@ -282,29 +264,8 @@ nn::Tensor MscnModel::ApplyPacked(const MscnPackedBatch& batch) const {
   run_set(batch.joins, batch.join_offsets, join_mlp_.get(), h);
   run_set(batch.predicates, batch.pred_offsets, pred_mlp_.get(), 2 * h);
 
-  return out_mlp_->ApplyFused(pooled);
-}
-
-void MscnModel::PredictLogCardPacked(const MscnPackedBatch& batch,
-                                     double* out) const {
-  if (batch.batch_size == 0) return;
-  nn::Tensor pred = ApplyPacked(batch);
-  for (size_t i = 0; i < batch.batch_size; ++i) {
-    out[i] = static_cast<double>(pred.At(i, 0));
-  }
-}
-
-double MscnModel::PredictLogCard(const MscnInput& input) const {
-  std::vector<const MscnInput*> batch = {&input};
-  nn::Tensor pred = Apply(batch);
-  return static_cast<double>(pred.At(0, 0));
-}
-
-void MscnModel::PredictLogCardBatch(const std::vector<const MscnInput*>& batch,
-                                    double* out) const {
-  if (batch.empty()) return;
-  nn::Tensor pred = Apply(batch);
-  for (size_t i = 0; i < batch.size(); ++i) {
+  const nn::Tensor pred = out_mlp_->Apply(pooled);
+  for (size_t i = 0; i < batch_size; ++i) {
     out[i] = static_cast<double>(pred.At(i, 0));
   }
 }

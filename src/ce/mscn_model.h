@@ -51,20 +51,17 @@ class MscnModel {
   Status Train(const std::vector<MscnInput>& inputs,
                const std::vector<double>& log_targets);
 
-  /// Forward pass for one query. Touches no training scratch, so a
-  /// trained model can serve many threads concurrently.
-  double PredictLogCard(const MscnInput& input) const;
+  /// Packs `batch` into the layout PredictLogCardPacked reads. Training
+  /// packs its minibatches with the same routine; the estimators write
+  /// the same rows straight from the featurizer instead.
+  MscnPackedBatch Pack(const std::vector<const MscnInput*>& batch) const;
 
-  /// One forward for the whole batch, writing log-cardinalities to
-  /// out[0..batch.size()). Each sample's set elements occupy their own
-  /// rows of the packed tensors and pooling is per-sample, so every
-  /// prediction is bit-identical to a batch-of-1 PredictLogCard.
-  void PredictLogCardBatch(const std::vector<const MscnInput*>& batch,
-                           double* out) const;
-
-  /// PredictLogCardBatch over a pre-packed batch: identical bits (the
-  /// packed tensors hold the same rows PackSet would build), none of the
-  /// intermediate per-query allocations.
+  /// The one inference entry: a forward over the whole packed batch,
+  /// writing log-cardinalities to out[0..batch.batch_size). Each
+  /// sample's set elements occupy their own rows and pooling is
+  /// per-sample, so every prediction is bit-identical to the same
+  /// sample's batch of one. Touches no training scratch, so a trained
+  /// model can serve many threads concurrently.
   void PredictLogCardPacked(const MscnPackedBatch& batch, double* out) const;
 
   /// Mean loss of the final training epoch (0 before Train). Lets the
@@ -83,10 +80,6 @@ class MscnModel {
  private:
   /// Batched forward over `batch`; returns (batch_size, 1) predictions.
   nn::Tensor Forward(const std::vector<const MscnInput*>& batch);
-  /// Inference-only forward: same numbers as Forward, no cached scratch.
-  nn::Tensor Apply(const std::vector<const MscnInput*>& batch) const;
-  /// Inference-only forward over pre-packed set tensors.
-  nn::Tensor ApplyPacked(const MscnPackedBatch& batch) const;
   /// Backprop of dLoss/dPred through the whole network.
   void Backward(const nn::Tensor& grad_pred);
   std::vector<nn::Parameter*> Parameters();

@@ -237,9 +237,11 @@ Status NaruEstimator::Train(const Table& table) {
   return Status::OK();
 }
 
-double NaruEstimator::ProgressiveSampleDense(
-    const std::vector<std::pair<int, int>>& bin_ranges,
-    int last_constrained) const {
+double NaruEstimator::ReferenceSelectivity(const Query& query) const {
+  CONFCARD_CHECK_MSG(net_ != nullptr, "naru: not trained");
+  // No trivial-query shortcut: without predicates no column is sampled
+  // (mean 1), and an empty bin range zeroes every path (mean 0).
+  const PreparedQuery prepared = Prepare(query);
   const size_t total = binner_->TotalBins();
   const size_t S = std::max<size_t>(1, config_.num_samples);
   obs::Metrics().GetCounter("ce.naru.progressive_samples").Increment(S);
@@ -251,13 +253,13 @@ double NaruEstimator::ProgressiveSampleDense(
   std::vector<double> path_prob(S, 1.0);
   std::vector<float> probs;
 
-  for (int c = 0; c <= last_constrained; ++c) {
+  for (int c = 0; c <= prepared.last_constrained; ++c) {
     const size_t lo_off = block_offsets_[static_cast<size_t>(c)];
     const size_t width = block_offsets_[static_cast<size_t>(c) + 1] - lo_off;
     probs.resize(width);
     nn::Tensor logits = net_->Apply(input);
 
-    const auto [blo, bhi] = bin_ranges[static_cast<size_t>(c)];
+    const auto [blo, bhi] = prepared.ranges[static_cast<size_t>(c)];
     for (size_t s = 0; s < S; ++s) {
       if (path_prob[s] == 0.0) continue;
       nn::SoftmaxRow(logits.RowPtr(s) + lo_off, width, probs.data());
@@ -434,101 +436,72 @@ NaruEstimator::PreparedQuery NaruEstimator::Prepare(const Query& query) const {
   return out;
 }
 
-double NaruEstimator::EstimateSelectivity(const Query& query) const {
+std::vector<size_t> NaruEstimator::SelectivityBatch(const Query* queries,
+                                                    size_t n,
+                                                    double* sel) const {
   CONFCARD_CHECK_MSG(net_ != nullptr, "naru: not trained");
-  const PreparedQuery prepared = Prepare(query);
-  if (prepared.last_constrained < 0) return 1.0;
-  if (prepared.empty_range) return 0.0;
-  if (config_.sparse_inference) {
-    double sel = 0.0;
-    SampleBatchSparse(&prepared, 1, &sel);
-    return sel;
+  std::vector<PreparedQuery> engine_queries;
+  std::vector<size_t> engine_idx;
+  for (size_t i = 0; i < n; ++i) {
+    PreparedQuery prepared = Prepare(queries[i]);
+    if (prepared.last_constrained < 0) {
+      sel[i] = 1.0;
+    } else if (prepared.empty_range) {
+      sel[i] = 0.0;
+    } else {
+      engine_queries.push_back(std::move(prepared));
+      engine_idx.push_back(i);
+    }
   }
-  return ProgressiveSampleDense(prepared.ranges, prepared.last_constrained);
+  if (engine_idx.empty()) return engine_idx;
+  std::vector<double> engine_sel(engine_idx.size());
+  SampleBatchSparse(engine_queries.data(), engine_queries.size(),
+                    engine_sel.data());
+  for (size_t k = 0; k < engine_idx.size(); ++k) {
+    sel[engine_idx[k]] = engine_sel[k];
+  }
+  return engine_idx;
+}
+
+double NaruEstimator::EstimateSelectivity(const Query& query) const {
+  double sel = 0.0;
+  SelectivityBatch(&query, 1, &sel);
+  return sel;
 }
 
 double NaruEstimator::EstimateCardinality(const Query& query) const {
-  static obs::Counter& queries =
-      obs::Metrics().GetCounter("ce.naru.queries");
-  static obs::Histogram& latency =
-      obs::Metrics().GetHistogram("ce.naru.infer_us");
-  Stopwatch watch;
-  const double selectivity = EstimateSelectivity(query);
-  latency.Record(watch.ElapsedMicros());
-  queries.Increment();
-  double card = selectivity * num_rows_;
-  if (fault::Enabled()) {
-    const uint64_t key = QueryContentKey(query);
-    // sampler.step models a stall/failure inside progressive sampling —
-    // it only applies to queries that actually ran the sampling engine.
-    const PreparedQuery prepared = Prepare(query);
-    if (prepared.last_constrained >= 0 && !prepared.empty_range) {
-      card = fault::PerturbValue("sampler.step", key, card);
-    }
-    card = fault::PerturbValue("naru.forward", key, card);
-  }
+  double card = 0.0;
+  EstimateBatch(&query, 1, &card);
   return card;
 }
 
 void NaruEstimator::EstimateBatch(const Query* queries, size_t n,
                                   double* out) const {
   if (n == 0) return;
-  CONFCARD_CHECK_MSG(net_ != nullptr, "naru: not trained");
   static obs::Counter& query_counter =
       obs::Metrics().GetCounter("ce.naru.queries");
   static obs::Histogram& latency =
       obs::Metrics().GetHistogram("ce.naru.infer_us");
   Stopwatch watch;
-
-  // Trivial queries (no predicates / empty bin ranges) are answered
-  // directly, exactly as the per-query path does; the rest share the
-  // sampling engine.
-  std::vector<PreparedQuery> prepared(n);
-  std::vector<size_t> engine_idx;
-  engine_idx.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    prepared[i] = Prepare(queries[i]);
-    if (prepared[i].last_constrained < 0) {
-      out[i] = num_rows_;
-    } else if (prepared[i].empty_range) {
-      out[i] = 0.0;
-    } else {
-      engine_idx.push_back(i);
-    }
-  }
-  if (!engine_idx.empty()) {
-    if (config_.sparse_inference) {
-      std::vector<PreparedQuery> engine_queries;
-      engine_queries.reserve(engine_idx.size());
-      for (size_t idx : engine_idx) engine_queries.push_back(prepared[idx]);
-      std::vector<double> sel(engine_idx.size());
-      SampleBatchSparse(engine_queries.data(), engine_queries.size(),
-                        sel.data());
-      for (size_t k = 0; k < engine_idx.size(); ++k) {
-        out[engine_idx[k]] = sel[k] * num_rows_;
-      }
-    } else {
-      for (size_t idx : engine_idx) {
-        out[idx] = ProgressiveSampleDense(prepared[idx].ranges,
-                                          prepared[idx].last_constrained) *
-                   num_rows_;
-      }
-    }
-  }
+  const std::vector<size_t> sampled = SelectivityBatch(queries, n, out);
+  for (size_t i = 0; i < n; ++i) out[i] *= num_rows_;
 
   if (fault::Enabled()) {
+    size_t k = 0;  // cursor into the ascending `sampled`
     for (size_t i = 0; i < n; ++i) {
       const uint64_t key = QueryContentKey(queries[i]);
-      if (prepared[i].last_constrained >= 0 && !prepared[i].empty_range) {
+      // sampler.step models a stall/failure inside progressive sampling,
+      // so it only applies to queries that actually ran the sampler.
+      if (k < sampled.size() && sampled[k] == i) {
         out[i] = fault::PerturbValue("sampler.step", key, out[i]);
+        ++k;
       }
       out[i] = fault::PerturbValue("naru.forward", key, out[i]);
     }
   }
 
-  // Telemetry parity with the per-query path: one count per query, and
-  // the histogram receives one (amortized) sample per query so its count
-  // matches a per-query run.
+  // One count per query, and one (amortized) histogram sample per query,
+  // whatever the batch size.
   const double per_query_us = watch.ElapsedMicros() / static_cast<double>(n);
   for (size_t i = 0; i < n; ++i) latency.Record(per_query_us);
   query_counter.Increment(n);

@@ -23,16 +23,10 @@ Mlp::Mlp(const std::vector<size_t>& dims, Rng& rng) {
 
 Tensor Mlp::Forward(const Tensor& input) { return net_.Forward(input); }
 
-Tensor Mlp::Apply(const Tensor& input) const { return net_.Apply(input); }
-
-Tensor Mlp::ApplyFused(const Tensor& input) const {
-  // Fused inference path for the batched engine: every hidden Dense is
-  // followed by a ReLU, so the bias-add and the clamp share one sweep
-  // over the activations (Dense::ApplyActivated). Bit-identical to
-  // Apply — per element the op sequence is unchanged — with one less
-  // pass per hidden layer. Apply stays on the plain layer chain so the
-  // per-query reference path remains the obviously-correct oracle the
-  // engine is checked against.
+Tensor Mlp::Apply(const Tensor& input) const {
+  // Every hidden Dense is followed by a ReLU, so the bias-add and the
+  // clamp share one sweep over the activations: one pass less per
+  // hidden layer than the staged chain, with the same bits.
   Tensor x = dense_.front()->ApplyActivated(input, dense_.size() > 1);
   for (size_t i = 1; i < dense_.size(); ++i) {
     x = dense_[i]->ApplyActivated(x, i + 1 < dense_.size());

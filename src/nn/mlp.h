@@ -18,12 +18,11 @@ class Mlp : public Layer {
   Mlp(const std::vector<size_t>& dims, Rng& rng);
 
   Tensor Forward(const Tensor& input) override;
+  /// Inference forward with each hidden layer's bias-add and ReLU fused
+  /// into one sweep (Dense::ApplyActivated). Bit-identical to Forward
+  /// and to the staged Dense::Apply + Relu::Apply chain: the per-element
+  /// op sequence is unchanged, only the number of passes differs.
   Tensor Apply(const Tensor& input) const override;
-  /// Batched-inference forward with each hidden layer's bias-add and
-  /// ReLU fused into one sweep. Bit-identical to Apply (the per-element
-  /// op sequence is unchanged); used by the batched engine, while Apply
-  /// remains the plain reference chain.
-  Tensor ApplyFused(const Tensor& input) const;
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 
@@ -32,9 +31,9 @@ class Mlp : public Layer {
 
  private:
   Sequential net_;
-  // The Dense layers of net_ in order, for the fused inference path in
-  // Apply (each hidden Dense is followed by a ReLU; the bias-add and
-  // clamp share one sweep). Non-owning; net_ owns the layers.
+  // The Dense layers of net_ in order, for the fused forward in Apply
+  // (each hidden Dense is followed by a ReLU; the bias-add and clamp
+  // share one sweep). Non-owning; net_ owns the layers.
   std::vector<const Dense*> dense_;
   size_t in_dim_ = 0;
   size_t out_dim_ = 0;

@@ -1,8 +1,11 @@
 // High-throughput serving front-end over the guarded estimation stack:
 // multi-producer lock-free request queues feeding per-shard dynamic
 // micro-batchers (collect up to B queries or wait at most T µs, then one
-// EstimateBatch), shared-nothing model replicas (one GuardedEstimator
-// per shard, routed by query content hash), admission control tied into
+// EstimateBatch), shards routed by query content hash (each shard owns
+// its GuardedEstimator, queue and worker and, with feedback on, its
+// recalibrator, residual corrector and drift ladder; shards may share
+// one immutable model, since a guard does not own its primary and keeps
+// its breaker state to itself), admission control tied into
 // the guard's circuit breaker, and a response path that carries the
 // conformal prediction interval plus degraded/shed provenance per query.
 //
@@ -10,7 +13,8 @@
 //   * Batching is bit-identical to the per-query guarded path when no
 //     faults are armed (EstimateBatch's bit-identity contract composes
 //     with any batch partition the timing produces), at any shard count
-//     when the replicas are trained identically.
+//     when every shard's guard wraps the same model (or identically
+//     trained ones).
 //   * The steady-state hot path — submit, queue transfer, batch
 //     assembly, guarded batched inference, interval inversion, response
 //     publication — performs zero heap allocations once buffers have
@@ -124,11 +128,11 @@ struct alignas(64) Request {
   std::chrono::steady_clock::time_point submitted_at{};
 };
 
-/// Number of shard replicas the environment asks for:
+/// Number of shards the environment asks for:
 /// CONFCARD_SERVE_SHARDS clamped to [1, 64], default 1.
 int ShardsFromEnv();
 
-/// Serving front-end over per-shard guarded replicas.
+/// Serving front-end over per-shard guarded estimators.
 class ServeFrontEnd {
  public:
   struct Options {
@@ -181,9 +185,9 @@ class ServeFrontEnd {
   };
 
   /// One guard per shard (none owned; all must outlive the front-end).
-  /// Replicas are expected to be behaviorally identical (same
-  /// architecture, seed, and training data) — routing is a content hash,
-  /// so distinguishable replicas would make results depend on the shard
+  /// The guards' primaries are expected to be behaviorally identical —
+  /// usually one shared model — because routing is a content hash, so
+  /// distinguishable models would make results depend on the shard
   /// count. `conformal` must be calibrated; its interval logic and
   /// `num_rows` clipping are shared read-only across shards.
   ServeFrontEnd(std::vector<const GuardedEstimator*> shard_guards,

@@ -170,9 +170,9 @@ TEST(DeterminismTest, OneThreadAndFourThreadsProduceIdenticalRuns) {
   EXPECT_EQ(serial.normalized_events, pooled.normalized_events);
 }
 
-// The batched-inference contract: EstimateBatch (and, for Naru, the
-// sparsity-aware engine behind it) must be bit-identical to the
-// per-query dense path for all three estimators, at 1 and 4 threads.
+// The batched-inference contract: EstimateBatch must be bit-identical to
+// batches of one for all three estimators, and Naru's sparsity-aware
+// engine to its dense reference sampler, at 1 and 4 threads.
 TEST(DeterminismTest, BatchedSparseInferenceMatchesPerQueryDense) {
   const int saved_threads = CurrentThreads();
   Fixture f = MakeFixture();
@@ -203,15 +203,16 @@ TEST(DeterminismTest, BatchedSparseInferenceMatchesPerQueryDense) {
   queries.reserve(f.test.size());
   for (const LabeledQuery& lq : f.test) queries.push_back(lq.query);
 
-  // Per-query dense references, computed once at 1 thread. Naru's dense
-  // path is the pre-engine reference implementation.
+  // Per-query references, computed once at 1 thread. Naru's is the
+  // dense reference sampler, scaled to a cardinality exactly as the
+  // engine scales its selectivities.
   SetThreads(1);
-  naru.set_sparse_inference(false);
+  const double num_rows = static_cast<double>(f.table.num_rows());
   std::vector<double> lwnn_ref, mscn_ref, naru_ref;
   for (const Query& q : queries) {
     lwnn_ref.push_back(lwnn.EstimateCardinality(q));
     mscn_ref.push_back(mscn.EstimateCardinality(q));
-    naru_ref.push_back(naru.EstimateCardinality(q));
+    naru_ref.push_back(naru.ReferenceSelectivity(q) * num_rows);
   }
 
   for (int threads : {1, 4}) {
@@ -219,7 +220,6 @@ TEST(DeterminismTest, BatchedSparseInferenceMatchesPerQueryDense) {
     SetThreads(threads);
 
     // Per-query sparse Naru == per-query dense.
-    naru.set_sparse_inference(true);
     for (size_t i = 0; i < queries.size(); ++i) {
       ASSERT_EQ(naru.EstimateCardinality(queries[i]), naru_ref[i])
           << "query " << i;

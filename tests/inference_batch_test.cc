@@ -1,11 +1,15 @@
-// Regression coverage for the batched, sparsity-aware inference engine:
-// (1) golden fixed-seed Naru progressive-sampling values, asserted
-// bit-exact for both the dense reference path and the sparse engine —
-// any change to either forward shows up here first; (2) batched-vs-loop
-// bit-identity for MSCN, LW-NN, and Naru EstimateBatch, including
-// batches that mix trivial (no-predicate, empty-range) queries with
-// engine queries; (3) the MaskedDense sparse kernels against their dense
-// Apply equivalents.
+// Regression coverage for the batched, sparsity-aware inference engine,
+// the only path a trained model answers queries through (per-query
+// estimation is a batch of one): (1) golden fixed-seed Naru
+// progressive-sampling values, asserted bit-exact for both the dense
+// reference sampler and the sparse engine — any change to either
+// forward shows up here first; (2) batch-vs-batch-of-one bit identity
+// for MSCN, MSCN-join, LW-NN and Naru EstimateBatch, including batches
+// that mix trivial (no-predicate, empty-range) queries with engine
+// queries and batches that cross MSCN's 256-query chunk boundary;
+// (3) concurrent per-query calls from pool threads (labelled
+// parallel-smoke so the TSan/ASan presets run them); (4) the
+// MaskedDense sparse kernels against their dense Apply equivalents.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,9 +19,12 @@
 #include "ce/lwnn.h"
 #include "ce/mscn.h"
 #include "ce/naru.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/generators.h"
+#include "data/multitable.h"
 #include "nn/layers.h"
+#include "query/join_workload.h"
 #include "query/workload.h"
 
 namespace confcard {
@@ -67,7 +74,7 @@ NaruConfig SmallNaruConfig() {
 }
 
 // Fixed-seed progressive-sampling selectivities recorded from the dense
-// reference path (hexfloat: exact bits). The sparse engine must
+// reference sampler (hexfloat: exact bits). The sparse engine must
 // reproduce them bit for bit — "bit-identical" is the engine's contract,
 // not an approximation target.
 constexpr double kGoldenSelectivity[] = {
@@ -92,22 +99,21 @@ TEST(InferenceBatchTest, GoldenProgressiveSampleBitExactDenseAndSparse) {
   ASSERT_EQ(f.workload.size(),
             sizeof(kGoldenSelectivity) / sizeof(kGoldenSelectivity[0]));
 
-  naru.set_sparse_inference(false);
   for (size_t i = 0; i < f.workload.size(); ++i) {
-    ASSERT_EQ(naru.EstimateSelectivity(f.workload[i].query),
+    ASSERT_EQ(naru.ReferenceSelectivity(f.workload[i].query),
               kGoldenSelectivity[i])
-        << "dense path, query " << i;
+        << "dense reference, query " << i;
   }
-  naru.set_sparse_inference(true);
   for (size_t i = 0; i < f.workload.size(); ++i) {
     ASSERT_EQ(naru.EstimateSelectivity(f.workload[i].query),
               kGoldenSelectivity[i])
-        << "sparse path, query " << i;
+        << "sparse engine, query " << i;
   }
 }
 
 // Batches mixing trivial queries (no predicates; empty bin range) with
-// engine queries must agree with the per-query loop on every slot.
+// engine queries must agree with batches of one on every slot, and the
+// engine's trivial-query shortcuts with the shortcut-free reference.
 TEST(InferenceBatchTest, NaruBatchWithTrivialQueriesMatchesLoop) {
   Fixture f = MakeFixture();
   NaruEstimator naru(SmallNaruConfig());
@@ -125,12 +131,28 @@ TEST(InferenceBatchTest, NaruBatchWithTrivialQueriesMatchesLoop) {
 
   std::vector<double> batched(queries.size());
   naru.EstimateBatch(queries.data(), queries.size(), batched.data());
+  const double num_rows = static_cast<double>(f.table.num_rows());
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_EQ(batched[i], loop[i]) << "query " << i;
+    ASSERT_EQ(loop[i], naru.ReferenceSelectivity(queries[i]) * num_rows)
+        << "reference, query " << i;
   }
 
   // n == 0 is a no-op.
   naru.EstimateBatch(nullptr, 0, nullptr);
+}
+
+// Every slot of a batch must equal the same query estimated alone.
+template <typename Estimator, typename QueryT>
+void ExpectBatchMatchesBatchesOfOne(const Estimator& est,
+                                    const std::vector<QueryT>& queries,
+                                    const char* label) {
+  std::vector<double> batched(queries.size());
+  est.EstimateBatch(queries.data(), queries.size(), batched.data());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(batched[i], est.EstimateCardinality(queries[i]))
+        << label << " query " << i << " of " << queries.size();
+  }
 }
 
 TEST(InferenceBatchTest, MscnAndLwnnBatchMatchesLoop) {
@@ -153,18 +175,108 @@ TEST(InferenceBatchTest, MscnAndLwnnBatchMatchesLoop) {
   std::vector<Query> queries;
   queries.push_back(Query{});  // empty-set / all-defaults featurization
   for (const LabeledQuery& lq : f.workload) queries.push_back(lq.query);
+  ExpectBatchMatchesBatchesOfOne(mscn, queries, "mscn");
+  ExpectBatchMatchesBatchesOfOne(lwnn, queries, "lw-nn");
 
-  std::vector<double> batched(queries.size());
-  mscn.EstimateBatch(queries.data(), queries.size(), batched.data());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(batched[i], mscn.EstimateCardinality(queries[i]))
-        << "mscn query " << i;
+  // More than 2 x 256 queries: MSCN runs the batch as three chunked
+  // forwards, and every chunk must land at its own offset in `out`.
+  WorkloadConfig wc;
+  wc.num_queries = 600;
+  wc.seed = 22;
+  const Workload more = GenerateWorkload(f.table, wc).value();
+  for (const LabeledQuery& lq : more) {
+    queries.push_back(lq.query);
   }
-  lwnn.EstimateBatch(queries.data(), queries.size(), batched.data());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(batched[i], lwnn.EstimateCardinality(queries[i]))
-        << "lw-nn query " << i;
+  queries.push_back(Query{});
+  ASSERT_GT(queries.size(), 2 * size_t{256});
+  ExpectBatchMatchesBatchesOfOne(mscn, queries, "mscn");
+  ExpectBatchMatchesBatchesOfOne(lwnn, queries, "lw-nn");
+}
+
+// MSCN over joins: every DSB template (2-5 tables, 1-4 joins, 1-4
+// predicates) plus a predicate-free query, in a batch that crosses the
+// 256-query chunk boundary.
+TEST(InferenceBatchTest, MscnJoinBatchMatchesLoop) {
+  const Database db = MakeDsbLike(1500, 41).value();
+  JoinWorkloadConfig jc;
+  jc.queries_per_template = 30;
+  jc.seed = 7;
+  const JoinWorkload wl =
+      GenerateJoinWorkload(db, DsbTemplates(), jc).value();
+
+  MscnConfig mc;
+  mc.epochs = 2;
+  mc.set_hidden = 16;
+  mc.final_hidden = 16;
+  MscnJoinEstimator mscn(mc);
+  ASSERT_TRUE(mscn.Train(db, wl).ok());
+
+  std::vector<JoinQuery> queries;
+  for (const LabeledJoinQuery& lq : wl) queries.push_back(lq.query);
+  JoinQuery no_preds = queries.back();
+  no_preds.predicates.clear();
+  queries.push_back(no_preds);
+  ASSERT_GT(queries.size(), size_t{256});
+  ExpectBatchMatchesBatchesOfOne(mscn, queries, "mscn-join");
+
+  const std::vector<JoinQuery> mixed(queries.end() - 40, queries.end());
+  ExpectBatchMatchesBatchesOfOne(mscn, mixed, "mscn-join");
+}
+
+// Per-query calls are batches of one on the engine's arena tensors and
+// packed batches. Pool threads calling them concurrently (as the JK-CV+
+// and LW-S-CP loops do) must reproduce one single-threaded batch bit
+// for bit.
+TEST(InferenceBatchTest, ConcurrentPerQueryCallsMatchSingleThreadedBatch) {
+  const int saved_threads = CurrentThreads();
+  Fixture f = MakeFixture();
+
+  LwnnEstimator::Options lo;
+  lo.epochs = 4;
+  lo.hidden1 = 16;
+  lo.hidden2 = 8;
+  LwnnEstimator lwnn(lo);
+  ASSERT_TRUE(lwnn.Train(f.table, f.workload).ok());
+
+  MscnEstimator::Options mo;
+  mo.model.epochs = 2;
+  mo.model.set_hidden = 16;
+  mo.model.final_hidden = 16;
+  MscnEstimator mscn(mo);
+  ASSERT_TRUE(mscn.Train(f.table, f.workload).ok());
+
+  NaruEstimator naru(SmallNaruConfig());
+  ASSERT_TRUE(naru.Train(f.table).ok());
+
+  WorkloadConfig wc;
+  wc.num_queries = 64;
+  wc.seed = 23;
+  const Workload wl = GenerateWorkload(f.table, wc).value();
+  std::vector<Query> queries;
+  queries.push_back(Query{});
+  for (const LabeledQuery& lq : wl) {
+    queries.push_back(lq.query);
   }
+
+  const CardinalityEstimator* models[] = {&lwnn, &mscn, &naru};
+  for (const CardinalityEstimator* model : models) {
+    SCOPED_TRACE(model->name());
+    SetThreads(1);
+    std::vector<double> want(queries.size());
+    model->EstimateBatch(queries.data(), queries.size(), want.data());
+
+    SetThreads(4);
+    std::vector<double> got(queries.size());
+    ParallelFor(queries.size(), 1, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        got[i] = model->EstimateCardinality(queries[i]);
+      }
+    });
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "query " << i;
+    }
+  }
+  SetThreads(saved_threads);
 }
 
 // The base-class EstimateBatch (the per-query loop every estimator

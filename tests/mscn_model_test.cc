@@ -1,6 +1,7 @@
 // MSCN network internals exercised through its public surface: set
 // packing/pooling edge cases (empty sets, variable sizes), batch
-// consistency, quantile-loss training, determinism.
+// consistency, quantile-loss training, determinism. Inputs are packed
+// with MscnModel::Pack, the routine training packs its minibatches with.
 #include "ce/mscn_model.h"
 
 #include <cmath>
@@ -26,6 +27,13 @@ MscnInput MakeInput(Rng& rng, size_t table_dim, size_t join_dim,
     in.predicates.push_back(vec(pred_dim));
   }
   return in;
+}
+
+// Log-cardinality of one input: a packed batch of one.
+double Predict(const MscnModel& model, const MscnInput& input) {
+  double out = 0.0;
+  model.PredictLogCardPacked(model.Pack({&input}), &out);
+  return out;
 }
 
 MscnConfig FastConfig() {
@@ -57,7 +65,7 @@ TEST(MscnModelTest, TrainsOnSetSizeSignal) {
   ASSERT_TRUE(model.Train(inputs, targets).ok());
   double mse = 0.0;
   for (size_t i = 0; i < 50; ++i) {
-    double p = model.PredictLogCard(inputs[i]);
+    double p = Predict(model, inputs[i]);
     mse += (p - targets[i]) * (p - targets[i]);
   }
   EXPECT_LT(mse / 50.0, 0.5);
@@ -78,7 +86,7 @@ TEST(MscnModelTest, HandlesEmptyPredicateSet) {
   // others.
   MscnInput empty = MakeInput(rng, 3, 1, 4, 0);
   MscnInput full = MakeInput(rng, 3, 1, 4, 2);
-  EXPECT_GT(model.PredictLogCard(empty), model.PredictLogCard(full));
+  EXPECT_GT(Predict(model, empty), Predict(model, full));
 }
 
 TEST(MscnModelTest, PredictionIndependentOfBatchContext) {
@@ -93,12 +101,23 @@ TEST(MscnModelTest, PredictionIndependentOfBatchContext) {
   }
   MscnModel model(3, 1, 4, FastConfig());
   ASSERT_TRUE(model.Train(inputs, targets).ok());
-  double a = model.PredictLogCard(inputs[0]);
+  double a = Predict(model, inputs[0]);
   // Interleave other predictions and re-ask.
-  (void)model.PredictLogCard(inputs[5]);
-  (void)model.PredictLogCard(inputs[9]);
-  double b = model.PredictLogCard(inputs[0]);
+  (void)Predict(model, inputs[5]);
+  (void)Predict(model, inputs[9]);
+  double b = Predict(model, inputs[0]);
   EXPECT_DOUBLE_EQ(a, b);
+
+  // Packed together (set sizes 0..3), every slot keeps its batch-of-one
+  // bits.
+  inputs.push_back(MakeInput(rng, 3, 1, 4, 0));
+  std::vector<const MscnInput*> batch;
+  for (const MscnInput& in : inputs) batch.push_back(&in);
+  std::vector<double> packed(batch.size());
+  model.PredictLogCardPacked(model.Pack(batch), packed.data());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(packed[i], Predict(model, inputs[i])) << "input " << i;
+  }
 }
 
 TEST(MscnModelTest, DeterministicBySeed) {
@@ -113,8 +132,7 @@ TEST(MscnModelTest, DeterministicBySeed) {
   MscnModel b(3, 1, 4, FastConfig());
   ASSERT_TRUE(a.Train(inputs, targets).ok());
   ASSERT_TRUE(b.Train(inputs, targets).ok());
-  EXPECT_DOUBLE_EQ(a.PredictLogCard(inputs[0]),
-                   b.PredictLogCard(inputs[0]));
+  EXPECT_DOUBLE_EQ(Predict(a, inputs[0]), Predict(b, inputs[0]));
 }
 
 TEST(MscnModelTest, PinballTrainingShiftsPredictions) {
@@ -136,7 +154,7 @@ TEST(MscnModelTest, PinballTrainingShiftsPredictions) {
   MscnModel lo(3, 1, 4, lo_cfg);
   ASSERT_TRUE(hi.Train(inputs, targets).ok());
   ASSERT_TRUE(lo.Train(inputs, targets).ok());
-  EXPECT_GT(hi.PredictLogCard(proto), lo.PredictLogCard(proto) + 4.0);
+  EXPECT_GT(Predict(hi, proto), Predict(lo, proto) + 4.0);
 }
 
 TEST(MscnModelTest, RejectsBadTrainingInputs) {
