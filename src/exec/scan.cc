@@ -28,23 +28,49 @@ void ScanSelected(const Column& col, const Predicate& p,
   }
 }
 
+// Rows per block of the count-only kernel.
+constexpr size_t kCountBlock = 256;
+
+// Counts the rows in [base, base + len) that satisfy `query`, branch-free:
+// each predicate ANDs its matches into a byte mask, which is then summed.
+// Full blocks fix the length as the template argument (kLen != 0); the
+// constant trip count is what lets the compiler vectorize the loops.
+template <size_t kLen>
+uint32_t CountBlock(const Table& table, const Query& query, size_t base,
+                    size_t len, uint8_t* mask) {
+  if (kLen != 0) len = kLen;
+  bool first = true;
+  for (const Predicate& p : query.predicates) {
+    CONFCARD_DCHECK(p.column >= 0 &&
+                    static_cast<size_t>(p.column) < table.num_columns());
+    const double* v =
+        table.column(static_cast<size_t>(p.column)).data().data() + base;
+    const double lo = p.lo, hi = p.hi;
+    if (first) {
+      for (size_t i = 0; i < len; ++i) mask[i] = (v[i] >= lo) & (v[i] <= hi);
+      first = false;
+    } else {
+      for (size_t i = 0; i < len; ++i) mask[i] &= (v[i] >= lo) & (v[i] <= hi);
+    }
+  }
+  uint32_t count = 0;
+  for (size_t i = 0; i < len; ++i) count += mask[i];
+  return count;
+}
+
 }  // namespace
 
 uint64_t CountMatches(const Table& table, const Query& query) {
-  if (query.predicates.empty()) return table.num_rows();
-  if (query.predicates.size() == 1) {
-    // Count-only fast path: no survivor list needed.
-    const Predicate& p = query.predicates[0];
-    CONFCARD_DCHECK(p.column >= 0 &&
-                    static_cast<size_t>(p.column) < table.num_columns());
-    const std::vector<double>& data =
-        table.column(static_cast<size_t>(p.column)).data();
-    const double lo = p.lo, hi = p.hi;
-    uint64_t count = 0;
-    for (double v : data) count += (v >= lo && v <= hi) ? 1 : 0;
-    return count;
+  const size_t n = table.num_rows();
+  if (query.predicates.empty()) return n;
+  uint8_t mask[kCountBlock];
+  uint64_t count = 0;
+  size_t base = 0;
+  for (; base + kCountBlock <= n; base += kCountBlock) {
+    count += CountBlock<kCountBlock>(table, query, base, kCountBlock, mask);
   }
-  return FilterIndices(table, query).size();
+  if (base < n) count += CountBlock<0>(table, query, base, n - base, mask);
+  return count;
 }
 
 std::vector<uint32_t> FilterIndices(const Table& table, const Query& query) {

@@ -1,6 +1,8 @@
 // Exact single-table evaluation of conjunctive predicates by columnar
-// scan. This is the ground-truth oracle that labels training /
-// calibration / test workloads.
+// scan. CountMatches is the reference oracle: workloads are labeled
+// through CountIndex (exec/count_index.h), which must equal it on every
+// query, and benches and tests check labels against it. FilterIndices
+// materializes survivors for the join executor.
 #ifndef CONFCARD_EXEC_SCAN_H_
 #define CONFCARD_EXEC_SCAN_H_
 
@@ -12,7 +14,8 @@
 
 namespace confcard {
 
-/// Exact COUNT(*) of `query` over `table`.
+/// Exact COUNT(*) of `query` over `table`, by a branch-free blocked
+/// scan that builds no survivor list.
 uint64_t CountMatches(const Table& table, const Query& query);
 
 /// Row indices satisfying `query`, in ascending order.

@@ -6,7 +6,9 @@
 #include <unordered_set>
 
 #include "common/rng.h"
-#include "exec/scan.h"
+#include "exec/count_index.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "query/predicate.h"
 
 namespace confcard {
@@ -36,11 +38,19 @@ Status Validate(const Table& table, const WorkloadConfig& cfg) {
   return Status::OK();
 }
 
+// Candidates labeled per CountBatch call. Labels never feed back into
+// drawing, so the batch size changes only how many surplus candidates
+// are labeled after the workload fills, never the workload itself.
+constexpr size_t kLabelBatch = 256;
+
 }  // namespace
 
 Result<Workload> GenerateWorkload(const Table& table,
                                   const WorkloadConfig& cfg) {
   CONFCARD_RETURN_NOT_OK(Validate(table, cfg));
+  static obs::Histogram& label_us =
+      obs::Metrics().GetHistogram("query.label_us");
+  obs::ScopedTimer timer("query.label", nullptr, &label_us);
   Rng rng(cfg.seed);
 
   std::vector<int> columns = cfg.allowed_columns;
@@ -53,13 +63,7 @@ Result<Workload> GenerateWorkload(const Table& table,
       std::min<int>(cfg.max_predicates, static_cast<int>(columns.size()));
   const int min_preds = std::min(cfg.min_predicates, max_preds);
 
-  Workload out;
-  out.reserve(cfg.num_queries);
-  std::unordered_set<std::string> seen;
-  const size_t budget = cfg.num_queries * 10 + 100;
-
-  for (size_t attempt = 0; attempt < budget && out.size() < cfg.num_queries;
-       ++attempt) {
+  auto draw = [&] {
     // Choose predicate columns without replacement.
     std::vector<int> cols = columns;
     rng.Shuffle(cols);
@@ -99,19 +103,42 @@ Result<Workload> GenerateWorkload(const Table& table,
             Predicate::Between(c, center - half, center + half));
       }
     }
+    return q;
+  };
 
-    if (cfg.dedup) {
-      std::string key = ToString(q);
-      if (!seen.insert(std::move(key)).second) continue;
+  const CountIndex index(table);
+  const double num_rows = static_cast<double>(table.num_rows());
+  Workload out;
+  out.reserve(cfg.num_queries);
+  std::unordered_set<std::string> seen;
+  const size_t budget = cfg.num_queries * 10 + 100;
+  std::vector<Query> batch;
+  std::vector<uint64_t> counts;
+  size_t attempt = 0;
+  uint64_t examined = 0;
+  while (attempt < budget && out.size() < cfg.num_queries) {
+    // Draw and dedup serially, in the RNG order of a one-at-a-time loop.
+    batch.clear();
+    while (attempt < budget && batch.size() < kLabelBatch) {
+      ++attempt;
+      Query q = draw();
+      if (cfg.dedup && !seen.insert(ToString(q)).second) continue;
+      batch.push_back(std::move(q));
     }
-
-    double card = static_cast<double>(CountMatches(table, q));
-    double sel = card / static_cast<double>(table.num_rows());
-    if (sel < cfg.min_selectivity || sel > cfg.max_selectivity) continue;
-
-    out.push_back(LabeledQuery{std::move(q), card,
-                               static_cast<double>(table.num_rows())});
+    counts.resize(batch.size());
+    index.CountBatch(batch.data(), batch.size(), counts.data());
+    // Accept in draw order until the workload is full.
+    for (size_t i = 0; i < batch.size() && out.size() < cfg.num_queries;
+         ++i) {
+      ++examined;
+      const double card = static_cast<double>(counts[i]);
+      const double sel = card / num_rows;
+      if (sel < cfg.min_selectivity || sel > cfg.max_selectivity) continue;
+      out.push_back(LabeledQuery{std::move(batch[i]), card, num_rows});
+    }
   }
+  obs::Metrics().GetCounter("query.label.candidates").Increment(examined);
+  obs::Metrics().GetCounter("query.label.accepted").Increment(out.size());
   return out;
 }
 

@@ -50,7 +50,9 @@ struct WorkloadConfig {
 };
 
 /// Generates a labeled workload over `table`; true cardinalities are
-/// computed exactly with the scan executor. May return fewer than
+/// exact, counted in parallel batches through a CountIndex built for
+/// the call (exec/count_index.h). The result does not depend on the
+/// thread count. May return fewer than
 /// `num_queries` queries if the selectivity filter + dedup exhaust the
 /// retry budget (10x oversampling).
 Result<Workload> GenerateWorkload(const Table& table,

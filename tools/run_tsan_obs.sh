@@ -2,7 +2,8 @@
 # Builds the tree under a sanitizer and runs the concurrent hot-path
 # surface: every test labeled obs-smoke (sharded metrics, event-log
 # merge, trace export, rolling windows), parallel-smoke (thread pool
-# dispatch + the tensor-buffer arena), prof-smoke (sampling
+# dispatch, the tensor-buffer arena, and batched workload labeling
+# through CountIndex at 1 and 4 threads), prof-smoke (sampling
 # profiler: SIGPROF handler + lock-free rings under an oversubscribed
 # hammer), and serve-smoke (serving front-end: MPMC queue hammer,
 # micro-batcher/shard pipeline, lock-free circuit breaker, plus the
