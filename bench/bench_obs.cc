@@ -72,10 +72,10 @@ struct LegacySharedHistogram {
 const char* const kRegistryNames[] = {
     "ce.guard.queries",        "ce.guard.primary_ok",
     "ce.guard.sanitized_nan",  "ce.guard.sanitized_negative",
-    "ce.guard.budget_exceeded", "ce.guard.retries",
-    "ce.guard.retry_success",  "ce.guard.fallback_served",
-    "ce.guard.invalid_query",  "ce.guard.breaker_trips",
-    "ce.guard.breaker_probes", "ce.guard.breaker_recoveries",
+    "ce.guard.retries",        "ce.guard.retry_success",
+    "ce.guard.fallback_served", "ce.guard.invalid_query",
+    "ce.guard.breaker_trips",  "ce.guard.breaker_probes",
+    "ce.guard.breaker_recoveries",
     "ce.infer.batch_queries",  "ce.infer.batch_calls",
     "ce.mscn.infer_us",        "ce.naru.infer_us",
     "ce.lwnn.infer_us",        "harness.prep_us",

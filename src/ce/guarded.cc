@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "common/fault.h"
 #include "common/stopwatch.h"
@@ -19,7 +20,6 @@ GuardedEstimator::GuardMetrics::GuardMetrics()
       sanitized_nan(obs::Metrics().GetCounter("ce.guard.sanitized_nan")),
       sanitized_negative(
           obs::Metrics().GetCounter("ce.guard.sanitized_negative")),
-      budget_exceeded(obs::Metrics().GetCounter("ce.guard.budget_exceeded")),
       retries(obs::Metrics().GetCounter("ce.guard.retries")),
       retry_success(obs::Metrics().GetCounter("ce.guard.retry_success")),
       fallback_served(obs::Metrics().GetCounter("ce.guard.fallback_served")),
@@ -100,22 +100,30 @@ bool GuardedEstimator::AllowPrimary(bool* probe) const {
 
 void GuardedEstimator::RecordPrimaryOutcome(bool ok, bool was_probe) const {
   if (options_.breaker_threshold <= 0) return;
-  if (ok) {
-    consecutive_failures_.store(0, std::memory_order_relaxed);
-    if (open_.load(std::memory_order_acquire) &&
-        open_.exchange(false, std::memory_order_acq_rel)) {
-      // A healthy probe closes the breaker (exactly one thread observes
-      // the open->closed edge and owns the metrics update).
-      cooldown_remaining_.store(0, std::memory_order_release);
-      metrics_.breaker_recoveries.Increment();
-      metrics_.breaker_open.Set(0.0);
-    }
-    return;
-  }
   if (open_.load(std::memory_order_acquire)) {
-    // A failed probe restarts the cooldown; the breaker stays open.
-    cooldown_remaining_.store(options_.breaker_cooldown,
-                              std::memory_order_release);
+    // Only the probe moves an open breaker: queries admitted before the
+    // trip (earlier in the batch, or on another thread) do not. A failed
+    // probe restarts the cooldown.
+    if (!was_probe) return;
+    if (!ok) {
+      cooldown_remaining_.store(options_.breaker_cooldown,
+                                std::memory_order_release);
+      return;
+    }
+    // A healthy probe closes the breaker. It is the single in-flight
+    // probe, so exactly one thread owns the open->closed edge's metrics.
+    open_.store(false, std::memory_order_release);
+    cooldown_remaining_.store(0, std::memory_order_release);
+    metrics_.breaker_recoveries.Increment();
+    metrics_.breaker_open.Set(0.0);
+  }
+  if (ok) {
+    // Serving threads share one guard; a healthy stream must not keep
+    // writing the shared line, so the reset store happens only on a
+    // failure-to-success edge.
+    if (consecutive_failures_.load(std::memory_order_relaxed) != 0) {
+      consecutive_failures_.store(0, std::memory_order_relaxed);
+    }
     return;
   }
   const int failures =
@@ -130,56 +138,6 @@ void GuardedEstimator::RecordPrimaryOutcome(bool ok, bool was_probe) const {
       metrics_.breaker_open.Set(1.0);
     }
   }
-  (void)was_probe;
-}
-
-bool GuardedEstimator::TryPrimary(const Query& query, double* value) const {
-  const int attempts = 1 + std::max(options_.max_retries, 0);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    double v;
-    double elapsed_us;
-    {
-      Stopwatch watch;
-      if (attempt == 0) {
-        // Attempt 0 runs with the default retry salt so a guarded
-        // primary sees exactly the injection decisions the raw model
-        // would.
-        v = primary_->EstimateCardinality(query);
-      } else {
-        fault::ScopedRetrySalt salt(static_cast<uint64_t>(attempt));
-        v = primary_->EstimateCardinality(query);
-      }
-      elapsed_us = watch.ElapsedMicros();
-    }
-    bool ok = Sane(v);
-    if (!ok) {
-      (std::isnan(v) || std::isinf(v) ? metrics_.sanitized_nan
-                                      : metrics_.sanitized_negative)
-          .Increment();
-    } else if (options_.latency_budget_us > 0.0 &&
-               elapsed_us > options_.latency_budget_us) {
-      metrics_.budget_exceeded.Increment();
-      ok = false;
-    }
-    if (ok) {
-      if (attempt > 0) metrics_.retry_success.Increment();
-      *value = v;
-      return true;
-    }
-    if (attempt + 1 < attempts) metrics_.retries.Increment();
-  }
-  return false;
-}
-
-GuardedEstimate GuardedEstimator::ServeFallback(const Query& query) const {
-  metrics_.fallback_served.Increment();
-  for (size_t i = 0; i < fallbacks_.size(); ++i) {
-    const double v = fallbacks_[i]->EstimateCardinality(query);
-    if (Sane(v)) return {v, true, static_cast<int>(i) + 1};
-  }
-  double v = histogram_->EstimateCardinality(query);
-  if (!Sane(v)) v = 0.0;  // the AVI estimator is always sane; belt & braces
-  return {v, true, static_cast<int>(fallbacks_.size()) + 1};
 }
 
 void GuardedEstimator::EmitGuardRecord(const Query& query,
@@ -205,143 +163,195 @@ void GuardedEstimator::EmitGuardRecord(const Query& query,
   }
 }
 
-// Everything EstimateGuarded does except the per-query counter bump —
-// the batched fast path re-enters here for queries whose batched output
-// failed sanitization, and must not double-count them.
-GuardedEstimate GuardedEstimator::GuardOne(const Query& query,
-                                           uint64_t order_key) const {
-  // Detail-only span over the whole ladder (validation, the
-  // latency-budgeted primary attempt, retry, fallback): on trace
-  // timelines budget-exceeded queries show up as long guard.estimate
-  // spans, and the profiler attributes their CPU to this frame.
-  std::optional<obs::TraceSpan> guard_span;
-  if (obs::DetailSpansEnabled()) guard_span.emplace("guard.estimate");
-  if (!ValidateQuery(query, num_columns_).ok()) {
-    metrics_.invalid_query.Increment();
-    // A malformed query has no meaningful cardinality; quarantine it
-    // with the empty-result answer rather than crashing an estimator.
-    GuardedEstimate out{0.0, true, -1};
-    EmitGuardRecord(query, out, "invalid_query", order_key);
-    return out;
+namespace {
+
+// Where one query stands in the tier walk, set at admission.
+enum Fate : uint8_t {
+  kAdmitted,      // the primary answers (unless marked failed)
+  kProbe,         // the post-cooldown probe
+  kFailed,        // admitted; every primary attempt was insane
+  kProbeFailed,   // the probe, and every attempt was insane
+  kInvalid,       // quarantined: no estimator runs
+  kRefused,       // the open breaker kept it off the primary
+  kFallbackOnly,  // EstimateFallbackTier: the primary tier is skipped
+};
+
+// Guard-record reason per Fate (null: the primary answered).
+constexpr const char* kReason[] = {
+    nullptr,         nullptr,        "primary_failed", "probe_failed",
+    "invalid_query", "breaker_open", "drift_fallback",
+};
+
+// Buffers for callers that pass no scratch, one set per thread, so the
+// scratch-free entry points are allocation-free once warm. A nested walk
+// (a guard used as a tier of another guard) finds them taken.
+thread_local GuardBatchScratch thread_scratch;
+thread_local bool thread_scratch_taken = false;
+struct ReleaseThreadScratch {
+  void operator()(GuardBatchScratch*) const { thread_scratch_taken = false; }
+};
+
+}  // namespace
+
+void GuardedEstimator::Walk(const Query* queries, size_t n,
+                            GuardedEstimate* out, bool use_primary,
+                            uint64_t order_key_base,
+                            GuardBatchScratch* scratch) const {
+  if (n == 0) return;
+  metrics_.queries.Increment(n);
+  const bool take = scratch == nullptr && !thread_scratch_taken;
+  const std::unique_ptr<GuardBatchScratch, ReleaseThreadScratch> lease(
+      take ? &thread_scratch : nullptr);
+  thread_scratch_taken |= take;
+  GuardBatchScratch local;
+  GuardBatchScratch& s = scratch ? *scratch : take ? thread_scratch : local;
+  std::vector<size_t>& pending = s.pending;
+  std::vector<uint8_t>& fate = s.fate;
+  pending.clear();
+  fate.resize(n);
+
+  // 1-2. Validate first (the primary may index columns without checks),
+  // then ask the breaker, in index order, whether the primary may answer.
+  bool probed = false;
+  for (size_t i = 0; i < n; ++i) {
+    bool probe = false;
+    if (!ValidateQuery(queries[i], num_columns_).ok()) {
+      // A malformed query has no meaningful cardinality; quarantine it
+      // with the empty-result answer rather than crashing an estimator.
+      metrics_.invalid_query.Increment();
+      fate[i] = kInvalid;
+      out[i] = {0.0, true, -1};
+    } else if (!use_primary) {
+      fate[i] = kFallbackOnly;
+    } else if (!AllowPrimary(&probe)) {
+      fate[i] = kRefused;
+    } else {
+      if (probe) metrics_.breaker_probes.Increment();
+      probed |= probe;
+      fate[i] = probe ? kProbe : kAdmitted;
+      pending.push_back(i);
+    }
   }
-  Stopwatch watch;
-  bool probe = false;
-  if (!AllowPrimary(&probe)) {
-    GuardedEstimate out = ServeFallback(query);
-    EmitGuardRecord(query, out, "breaker_open", order_key);
-    metrics_.latency_us.Record(watch.ElapsedMicros());
-    return out;
+  const bool all_admitted = pending.size() == n;
+
+  // 3. The tier walk: run_tier runs one estimator over the pending
+  // queries as one batch; those `take` rejects stay pending.
+  const auto run_tier = [&](const CardinalityEstimator& tier, auto&& take) {
+    const size_t m = pending.size();
+    s.values.resize(m);
+    if (m == n) {
+      tier.EstimateBatch(queries, n, s.values.data());
+    } else {
+      // Element-wise assignment into resized (not reconstructed) slots
+      // so each Query's predicate vector reuses its capacity.
+      if (s.compacted.size() < m) s.compacted.resize(m);
+      for (size_t k = 0; k < m; ++k) s.compacted[k] = queries[pending[k]];
+      tier.EstimateBatch(s.compacted.data(), m, s.values.data());
+    }
+    size_t kept = 0;
+    for (size_t k = 0; k < m; ++k) {
+      if (!take(pending[k], s.values[k])) pending[kept++] = pending[k];
+    }
+    pending.resize(kept);
+  };
+  const int attempts = 1 + std::max(options_.max_retries, 0);
+  const auto primary_attempt = [&](int attempt) {
+    size_t answered = 0;  // one counter update per tier, not per query
+    run_tier(*primary_, [&](size_t i, double v) {
+      if (!Sane(v)) {
+        (std::isnan(v) || std::isinf(v) ? metrics_.sanitized_nan
+                                        : metrics_.sanitized_negative)
+            .Increment();
+        if (attempt + 1 < attempts) metrics_.retries.Increment();
+        return false;
+      }
+      out[i] = {v, false, 0};
+      ++answered;
+      return true;
+    });
+    metrics_.primary_ok.Increment(answered);
+    if (attempt > 0) metrics_.retry_success.Increment(answered);
+  };
+  // Attempt 0 runs with the default retry salt, so a guarded primary
+  // sees exactly the injection decisions the raw model would.
+  if (!pending.empty()) primary_attempt(0);
+  if (all_admitted && pending.empty()) {
+    // A healthy batch: one success records what n of them would.
+    RecordPrimaryOutcome(true, probed);
+    return;
   }
-  if (probe) metrics_.breaker_probes.Increment();
-  double value = 0.0;
-  if (TryPrimary(query, &value)) {
-    RecordPrimaryOutcome(true, probe);
-    metrics_.primary_ok.Increment();
-    metrics_.latency_us.Record(watch.ElapsedMicros());
-    return {value, false, 0};
+
+  {
+    // Detail-only span and latency sample over the tiers past attempt
+    // 0: a degraded batch shows on trace timelines and in profiles. The
+    // fallback tier (no attempt 0) records neither.
+    std::optional<obs::TraceSpan> span;
+    if (use_primary && obs::DetailSpansEnabled()) {
+      span.emplace("guard.estimate");
+    }
+    Stopwatch watch;
+    for (int attempt = 1; attempt < attempts && !pending.empty(); ++attempt) {
+      fault::ScopedRetrySalt salt(static_cast<uint64_t>(attempt));
+      primary_attempt(attempt);
+    }
+    // What the primary did not answer walks the fallback chain, joined
+    // by the queries that never reached it, in index order.
+    for (size_t i : pending) {
+      fate[i] = fate[i] == kProbe ? kProbeFailed : kFailed;
+    }
+    pending.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (fate[i] >= kFailed && fate[i] != kInvalid) pending.push_back(i);
+    }
+    metrics_.fallback_served.Increment(pending.size());
+    for (size_t t = 0; t <= fallbacks_.size() && !pending.empty(); ++t) {
+      const bool terminal = t == fallbacks_.size();
+      run_tier(terminal ? *histogram_ : *fallbacks_[t],
+               [&](size_t i, double v) {
+                 if (!Sane(v)) {
+                   if (!terminal) return false;
+                   v = 0.0;  // the AVI estimator is always sane; belt & braces
+                 }
+                 out[i] = {v, true, static_cast<int>(t) + 1};
+                 return true;
+               });
+    }
+    if (use_primary) metrics_.latency_us.Record(watch.ElapsedMicros());
   }
-  RecordPrimaryOutcome(false, probe);
-  GuardedEstimate out = ServeFallback(query);
-  EmitGuardRecord(query, out, probe ? "probe_failed" : "primary_failed",
-                  order_key);
-  metrics_.latency_us.Record(watch.ElapsedMicros());
-  return out;
+
+  // 4. Breaker outcomes, then 5. guard records, each in index order.
+  // Key base + i composes with EventLog::OrderKey (batches stay far
+  // below 2^32); base 0 keeps the automatic per-thread keying.
+  for (size_t i = 0; i < n; ++i) {
+    if (fate[i] <= kProbeFailed) {
+      RecordPrimaryOutcome(fate[i] <= kProbe,
+                           fate[i] == kProbe || fate[i] == kProbeFailed);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (kReason[fate[i]] == nullptr) continue;
+    EmitGuardRecord(queries[i], out[i], kReason[fate[i]],
+                    order_key_base == 0 ? 0 : order_key_base + i);
+  }
 }
 
 GuardedEstimate GuardedEstimator::EstimateGuarded(const Query& query) const {
-  metrics_.queries.Increment();
-  return GuardOne(query);
+  GuardedEstimate out;
+  Walk(&query, 1, &out, /*use_primary=*/true, 0, nullptr);
+  return out;
 }
 
 void GuardedEstimator::EstimateBatchGuarded(const Query* queries, size_t n,
                                             GuardedEstimate* out,
                                             uint64_t order_key_base,
                                             GuardBatchScratch* scratch) const {
-  if (n == 0) return;
-  // Key for query i's guard record: base + i composes with
-  // EventLog::OrderKey because batch sizes never approach 2^32. Base 0
-  // keeps the automatic per-thread keying.
-  const auto key_at = [order_key_base](size_t i) {
-    return order_key_base == 0 ? 0 : order_key_base + i;
-  };
-  metrics_.queries.Increment(n);
-  // The primary's batched engine is only safe (and only bit-identical
-  // to the per-query guard) when nothing can intervene mid-batch: no
-  // injected faults, no per-query budget, breaker closed.
-  const bool fast = !fault::Enabled() && options_.latency_budget_us <= 0.0 &&
-                    !breaker_open();
-  if (!fast) {
-    for (size_t i = 0; i < n; ++i) out[i] = GuardOne(queries[i], key_at(i));
-    return;
-  }
-
-  // A caller-provided scratch keeps capacity across batches, so a
-  // steady-state serving loop pays no heap traffic here.
-  GuardBatchScratch local;
-  GuardBatchScratch& s = scratch != nullptr ? *scratch : local;
-
-  // Validate first: the primary may index columns without checks.
-  std::vector<size_t>& valid = s.valid;
-  valid.clear();
-  valid.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (ValidateQuery(queries[i], num_columns_).ok()) {
-      valid.push_back(i);
-    } else {
-      metrics_.invalid_query.Increment();
-      out[i] = {0.0, true, -1};
-      EmitGuardRecord(queries[i], out[i], "invalid_query", key_at(i));
-    }
-  }
-  if (valid.empty()) return;
-
-  std::vector<double>& values = s.values;
-  values.clear();
-  values.resize(valid.size());
-  if (valid.size() == n) {
-    primary_->EstimateBatch(queries, n, values.data());
-  } else {
-    // Element-wise assignment into resized (not reconstructed) slots so
-    // each Query's predicate vector reuses its capacity batch to batch.
-    std::vector<Query>& compacted = s.compacted;
-    if (compacted.size() < valid.size()) compacted.resize(valid.size());
-    for (size_t k = 0; k < valid.size(); ++k) {
-      compacted[k] = queries[valid[k]];
-    }
-    primary_->EstimateBatch(compacted.data(), valid.size(), values.data());
-  }
-  for (size_t k = 0; k < valid.size(); ++k) {
-    const size_t i = valid[k];
-    if (Sane(values[k])) {
-      metrics_.primary_ok.Increment();
-      out[i] = {values[k], false, 0};
-    } else {
-      // A real (un-injected) NaN/negative from the primary: run the full
-      // per-query ladder, which re-counts the sanitization and falls
-      // back.
-      out[i] = GuardOne(queries[i], key_at(i));
-    }
-  }
+  Walk(queries, n, out, /*use_primary=*/true, order_key_base, scratch);
 }
 
 void GuardedEstimator::EstimateFallbackTier(const Query* queries, size_t n,
                                             GuardedEstimate* out,
                                             uint64_t order_key_base) const {
-  if (n == 0) return;
-  const auto key_at = [order_key_base](size_t i) {
-    return order_key_base == 0 ? 0 : order_key_base + i;
-  };
-  metrics_.queries.Increment(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!ValidateQuery(queries[i], num_columns_).ok()) {
-      metrics_.invalid_query.Increment();
-      out[i] = {0.0, true, -1};
-      EmitGuardRecord(queries[i], out[i], "invalid_query", key_at(i));
-      continue;
-    }
-    out[i] = ServeFallback(queries[i]);
-    EmitGuardRecord(queries[i], out[i], "drift_fallback", key_at(i));
-  }
+  Walk(queries, n, out, /*use_primary=*/false, order_key_base, nullptr);
 }
 
 double GuardedEstimator::EstimateCardinality(const Query& query) const {

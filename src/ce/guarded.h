@@ -1,27 +1,27 @@
 // Guarded estimation: a decorator that makes any CardinalityEstimator
 // safe to serve. The paper's models fail silently — NaN logits, exp()
-// blow-ups, pathological latencies — and a production serving path
-// (postgrespro/aqo is the model here) survives because it always has a
-// fallback to a native estimator. GuardedEstimator supplies exactly
-// that:
+// blow-ups — and a production serving path (postgrespro/aqo is the
+// model here) survives because it always has a fallback to a native
+// estimator. GuardedEstimator supplies exactly that, as one batched
+// tier walk that every entry point views:
 //
-//   * queries are validated up front (column range, lo <= hi, no NaN
-//     bounds); invalid queries are quarantined instead of aborting,
-//   * primary outputs are sanitized — NaN/Inf/negative estimates never
-//     escape,
-//   * an optional per-query latency budget turns pathological slowness
-//     into a failure,
-//   * a failed primary is retried once (configurable), then falls back
-//     through a chain of alternates ending in an always-available
-//     histogram-AVI estimator built from the table,
-//   * a circuit breaker trips to fallback-only after K consecutive
-//     primary failures and recovers via a healthy probe after cooldown.
+//   1. invalid queries (column range, lo <= hi, no NaN bounds) are
+//      quarantined instead of aborting,
+//   2. the circuit breaker admits queries to the primary in index order
+//      (it trips to fallback-only after K consecutive primary failures
+//      and recovers via a healthy probe after cooldown),
+//   3. each tier — primary attempt 0, max_retries retries, the
+//      AddFallback chain, a histogram-AVI estimator built from the
+//      table — runs once as a batch over the pending queries, and a
+//      query leaves at its first sane (finite, >= 0) value; refused
+//      queries enter at the fallbacks,
+//   4. breaker outcomes, then guard records, follow in index order.
 //
 // Every intervention bumps a ce.guard.* metric and, when the event log
-// is armed, appends a guard record; healthy queries pay one validation
-// pass and one finiteness check. With no faults injected and no budget
-// configured, the guarded path is bit-identical to the raw estimator
-// (determinism_test enforces this).
+// is armed, appends a guard record; a healthy batch pays one
+// validation pass, one primary call and one finiteness pass. With no
+// faults injected, the guarded path is bit-identical to the raw
+// estimator (determinism_test enforces this).
 #ifndef CONFCARD_CE_GUARDED_H_
 #define CONFCARD_CE_GUARDED_H_
 
@@ -41,10 +41,6 @@ namespace confcard {
 struct GuardOptions {
   /// Extra attempts on the primary after a failed one (0 = no retry).
   int max_retries = 1;
-  /// Per-query wall-clock budget in microseconds for the primary; 0
-  /// disables budget enforcement (and keeps the guarded batch path on
-  /// the primary's batched fast path).
-  double latency_budget_us = 0.0;
   /// Consecutive primary failures (counting each query once, after
   /// retries) that trip the circuit breaker; <= 0 disables the breaker.
   int breaker_threshold = 8;
@@ -53,14 +49,15 @@ struct GuardOptions {
   int breaker_cooldown = 32;
 };
 
-/// Caller-owned reusable buffers for EstimateBatchGuarded's fast path.
-/// A serving loop that keeps one scratch per worker pays zero heap
-/// allocations per batch once the vectors have grown to the loop's
-/// steady-state batch size (bench_serving gates this).
+/// Caller-owned reusable buffers for the guarded tier walk. A serving
+/// loop that keeps one scratch per worker pays zero heap allocations per
+/// batch once the vectors have grown to the loop's steady-state batch
+/// size (bench_serving gates this).
 struct GuardBatchScratch {
-  std::vector<size_t> valid;
-  std::vector<double> values;
-  std::vector<Query> compacted;
+  std::vector<size_t> pending;     // indices still walking the tiers
+  std::vector<uint8_t> fate;       // per-query admission/outcome
+  std::vector<double> values;      // one tier's answers for `pending`
+  std::vector<Query> compacted;    // `pending` queries, when not all n
 };
 
 /// Outcome of one guarded estimate.
@@ -94,12 +91,15 @@ class GuardedEstimator : public CardinalityEstimator {
   void EstimateBatch(const Query* queries, size_t n,
                      double* out) const override;
 
-  /// Rich single-query path: value plus degradation provenance.
+  /// Rich single-query path (a batch of one): value plus provenance.
   GuardedEstimate EstimateGuarded(const Query& query) const;
-  /// Rich batch path. When no faults are armed, no budget is set, and
-  /// the breaker is closed, this runs the primary's batched fast path
-  /// and only sanitizes; otherwise queries go through the full per-query
-  /// guard.
+  /// Rich batch path: the tier walk over `queries`. Values, provenance,
+  /// counters and guard records are those of a loop of EstimateGuarded
+  /// over the same queries, except that the breaker's admission for the
+  /// whole batch is decided before any outcome of it is recorded — a
+  /// trip or probe recovery caused by query i takes effect from the
+  /// next call, and outcomes of queries admitted before a trip do not
+  /// move the open breaker (only its probe does).
   ///
   /// `order_key_base`: event-log ordering key for guard records emitted
   /// by query 0 of this batch (query i uses base + i); see
@@ -108,18 +108,20 @@ class GuardedEstimator : public CardinalityEstimator {
   /// log is deterministic; 0 (the default) lets the log assign
   /// per-thread automatic keys.
   ///
-  /// `scratch`: optional reusable buffers for the fast path; pass a
-  /// per-worker GuardBatchScratch to make steady-state batches
-  /// allocation-free. Null falls back to call-local vectors.
+  /// `scratch`: optional reusable buffers; pass a per-worker
+  /// GuardBatchScratch to make steady-state batches allocation-free.
+  /// Null uses the calling thread's own, equally allocation-free once
+  /// warm.
   void EstimateBatchGuarded(const Query* queries, size_t n,
                             GuardedEstimate* out, uint64_t order_key_base = 0,
                             GuardBatchScratch* scratch = nullptr) const;
 
-  /// Fallback-tier batch path for staged drift degradation: every query
-  /// is validated and served from the fallback chain (histogram-AVI
-  /// terminal tier) without touching the primary — no breaker
-  /// bookkeeping, no probes. Guard records carry reason
-  /// "drift_fallback". Allocation-free.
+  /// Fallback-tier batch path for staged drift degradation: the same
+  /// walk with the primary tier skipped — every valid query is served
+  /// from the fallback chain (histogram-AVI terminal tier), with no
+  /// breaker bookkeeping and no probes. Guard records carry reason
+  /// "drift_fallback". Allocation-free once the calling thread's
+  /// buffers have grown to the batch size.
   void EstimateFallbackTier(const Query* queries, size_t n,
                             GuardedEstimate* out,
                             uint64_t order_key_base = 0) const;
@@ -144,17 +146,14 @@ class GuardedEstimator : public CardinalityEstimator {
   /// True iff `v` may be served as a cardinality.
   static bool Sane(double v);
 
-  /// The full per-query guard (validate → breaker → primary ladder →
-  /// fallback), minus the queries-counter bump — shared by the single
-  /// and batch entry points. `order_key` keys any emitted guard record
-  /// (0 = automatic).
-  GuardedEstimate GuardOne(const Query& query, uint64_t order_key = 0) const;
-  /// One guarded attempt ladder against the primary (including retries
-  /// and budget enforcement). Returns true and sets *value on success.
-  bool TryPrimary(const Query& query, double* value) const;
-  /// Walks the fallback chain; always produces a sane value.
-  GuardedEstimate ServeFallback(const Query& query) const;
-  /// Breaker bookkeeping after a query's primary outcome.
+  /// The tier walk every public entry point views (see the header
+  /// comment); `use_primary` false skips the primary tier entirely.
+  void Walk(const Query* queries, size_t n, GuardedEstimate* out,
+            bool use_primary, uint64_t order_key_base,
+            GuardBatchScratch* scratch) const;
+  /// Breaker bookkeeping after a query's primary outcome. While the
+  /// breaker is open only the probe's outcome (`was_probe`) counts: a
+  /// healthy probe closes it, a failed one restarts the cooldown.
   void RecordPrimaryOutcome(bool ok, bool was_probe) const;
   /// Decides between primary and fallback for one query under the
   /// breaker; sets *probe when this query is the post-cooldown probe.
@@ -192,7 +191,6 @@ class GuardedEstimator : public CardinalityEstimator {
     obs::Counter& primary_ok;
     obs::Counter& sanitized_nan;
     obs::Counter& sanitized_negative;
-    obs::Counter& budget_exceeded;
     obs::Counter& retries;
     obs::Counter& retry_success;
     obs::Counter& fallback_served;

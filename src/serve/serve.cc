@@ -134,17 +134,17 @@ struct ServeFrontEnd::Shard {
   std::mutex wake_mu;
   std::condition_variable wake_cv;
   /// Set under wake_mu right before the worker sleeps; producers only
-  /// pay the notify mutex when a sleeper might exist.
+  /// pay the notify mutex when a sleeper might exist. With depth it forms
+  /// the seq_cst Dekker pair described in WorkerLoop.
   std::atomic<bool> idle{false};
   std::thread worker;
 
   // Worker-private buffers, preallocated to max_batch so the batch cycle
-  // never grows them. Stats are read by the front-end only when the
-  // shard is quiesced.
+  // never grows them (Stop's drain uses them once the worker is joined).
+  // Stats are read by the front-end only when the shard is quiesced.
   std::vector<Request*> batch;
   std::vector<Query> queries;
   std::vector<GuardedEstimate> outs;
-  GuardBatchScratch scratch;
   std::vector<uint64_t> batch_size_counts;
   std::atomic<uint64_t> hot_allocs{0};
 
@@ -166,8 +166,6 @@ struct ServeFrontEnd::Shard {
   std::unique_ptr<MpmcBoundedQueue<FeedbackSlot*>> fb_pending;
   std::unique_ptr<MpmcBoundedQueue<FeedbackSlot*>> fb_free;
   std::atomic<uint64_t> fb_dropped{0};
-  // Worker-private scratch for the per-observation re-estimate.
-  GuardBatchScratch fb_scratch;
 };
 
 ServeFrontEnd::ServeFrontEnd(std::vector<const GuardedEstimator*> shard_guards,
@@ -280,9 +278,9 @@ Admit ServeFrontEnd::Submit(Request* request) {
     PublishShed(request, shard_idx);
     result = Admit::kShedQueueFull;
   } else {
-    s.depth.fetch_add(1, std::memory_order_relaxed);
+    s.depth.fetch_add(1, std::memory_order_seq_cst);
     metrics_.accepted.Increment();
-    if (s.idle.load(std::memory_order_relaxed)) {
+    if (s.idle.load(std::memory_order_seq_cst)) {
       std::lock_guard<std::mutex> lock(s.wake_mu);
       s.wake_cv.notify_one();
     }
@@ -314,8 +312,7 @@ bool ServeFrontEnd::Observe(const Query& query, double true_card) {
 void ServeFrontEnd::WarmupFeedback(const Workload& calibration) {
   if (!options_.feedback) return;
   for (const LabeledQuery& lq : calibration) {
-    Shard& s = *shards_[ShardFor(lq.query)];
-    FeedOne(&s, lq.query, s.guard->EstimateGuarded(lq.query), lq.cardinality);
+    FeedOne(shards_[ShardFor(lq.query)].get(), lq.query, lq.cardinality);
   }
 }
 
@@ -372,8 +369,25 @@ void ServeFrontEnd::ApplyStageTransition(Shard* shard, DriftStage from,
   }
 }
 
-void ServeFrontEnd::FeedOne(Shard* shard, const Query& query,
-                            const GuardedEstimate& estimate, double truth) {
+void ServeFrontEnd::EstimateTier(Shard* shard, const Query* queries, size_t n,
+                                 GuardedEstimate* out) const {
+  // Ladder stage 3+: the learned primary is no longer trusted; serve the
+  // histogram-AVI tier directly. (The stage stays kHealthy with feedback
+  // off.)
+  if (shard->stage >= DriftStage::kFallback) {
+    shard->guard->EstimateFallbackTier(queries, n, out);
+  } else {
+    shard->guard->EstimateBatchGuarded(queries, n, out);
+  }
+}
+
+void ServeFrontEnd::FeedOne(Shard* shard, const Query& query, double truth) {
+  // The tier currently serving, so the recalibrator scores what clients
+  // get; one observation at a time, so the adaptive trajectory is a pure
+  // function of the per-shard feedback sequence, not of how batch timing
+  // grouped it (the guard is bit-identical at any partition).
+  GuardedEstimate estimate;
+  EstimateTier(shard, &query, 1, &estimate);
   double served = estimate.value;
   if (estimate.source == 0) {
     // AQO-style residual learning applies only to the primary: fallback
@@ -401,22 +415,7 @@ void ServeFrontEnd::ApplyFeedback(Shard* shard) {
   const size_t cap = options_.feedback_capacity;
   size_t k = 0;
   do {
-    // Estimate with the tier currently serving (the recalibrator must
-    // score the estimates clients are getting), one observation at a
-    // time so the adaptive trajectory — corrector, recalibrator,
-    // detector, and the tier each estimate used — is a pure function of
-    // the per-shard feedback sequence, not of how micro-batch timing
-    // happened to group the applications (EstimateBatchGuarded is
-    // bit-identical at any partition, so n=1 loses nothing).
-    GuardedEstimate ge;
-    if (shard->stage >= DriftStage::kFallback) {
-      shard->guard->EstimateFallbackTier(&slot->query, 1, &ge);
-    } else {
-      shard->guard->EstimateBatchGuarded(&slot->query, 1, &ge,
-                                         /*order_key_base=*/0,
-                                         &shard->fb_scratch);
-    }
-    FeedOne(shard, slot->query, ge, slot->truth);
+    FeedOne(shard, slot->query, slot->truth);
     shard->fb_free->TryPush(slot);
     ++k;
   } while (k < cap && shard->fb_pending->TryPop(&slot));
@@ -425,10 +424,12 @@ void ServeFrontEnd::ApplyFeedback(Shard* shard) {
 }
 
 void ServeFrontEnd::WorkerLoop(Shard* shard) {
-  for (;;) {
+  // Once stopping, the worker leaves after the batch in progress; Stop()
+  // serves whatever is still queued through the same batch cycle.
+  while (!stopping_.load(std::memory_order_acquire)) {
     Request* first = nullptr;
     if (shard->queue.TryPop(&first)) {
-      shard->depth.fetch_sub(1, std::memory_order_relaxed);
+      shard->depth.fetch_sub(1, std::memory_order_seq_cst);
       // The whole batch cycle — assembly, guarded batched inference,
       // interval inversion, publication — is alloc-counted; after
       // warmup the delta must be zero (bench_serving gates it).
@@ -439,29 +440,19 @@ void ServeFrontEnd::WorkerLoop(Shard* shard) {
           std::memory_order_relaxed);
       continue;
     }
-    if (stopping_.load(std::memory_order_acquire)) {
-      // Recheck once: a Submit racing Stop() may have pushed between the
-      // failed pop and the flag read. Anything later is caught by the
-      // post-join drain in Stop().
-      if (!shard->queue.TryPop(&first)) break;
-      shard->depth.fetch_sub(1, std::memory_order_relaxed);
-      const uint64_t allocs_before = obs::prof::ThreadAllocCount();
-      ProcessFrom(shard, first);
-      shard->hot_allocs.fetch_add(
-          obs::prof::ThreadAllocCount() - allocs_before,
-          std::memory_order_relaxed);
-      continue;
-    }
+    // No lost wakeups: a producer increments depth then loads idle;
+    // this thread stores idle then loads depth. All four are seq_cst, so
+    // the later pair in the total order sees the other's write: either
+    // the producer sees idle and notifies under wake_mu (held here until
+    // the wait releases it), or the predicate sees depth > 0. Stop() sets
+    // stopping_ before notifying under wake_mu. Hence the untimed wait.
     std::unique_lock<std::mutex> lock(shard->wake_mu);
-    shard->idle.store(true, std::memory_order_relaxed);
-    // The timeout is a belt-and-braces recheck: the idle-flag handshake
-    // makes missed wakeups unlikely, and a stray one costs 500 µs, not a
-    // hang.
-    shard->wake_cv.wait_for(lock, std::chrono::microseconds(500), [&] {
-      return shard->depth.load(std::memory_order_relaxed) > 0 ||
+    shard->idle.store(true, std::memory_order_seq_cst);
+    shard->wake_cv.wait(lock, [&] {
+      return shard->depth.load(std::memory_order_seq_cst) > 0 ||
              stopping_.load(std::memory_order_acquire);
     });
-    shard->idle.store(false, std::memory_order_relaxed);
+    shard->idle.store(false, std::memory_order_seq_cst);
   }
 }
 
@@ -487,7 +478,7 @@ void ServeFrontEnd::ProcessFrom(Shard* shard, Request* first) {
     for (;;) {
       Request* next = nullptr;
       if (shard->queue.TryPop(&next)) {
-        shard->depth.fetch_sub(1, std::memory_order_relaxed);
+        shard->depth.fetch_sub(1, std::memory_order_seq_cst);
         shard->batch.push_back(next);
         if (shard->batch.size() >= max_batch) break;
         continue;
@@ -510,16 +501,7 @@ void ServeFrontEnd::ProcessFrom(Shard* shard, Request* first) {
   for (size_t i = 0; i < m; ++i) {
     shard->queries[i] = shard->batch[i]->query;
   }
-  if (options_.feedback && shard->stage >= DriftStage::kFallback) {
-    // Ladder stage 3+: the learned primary is no longer trusted; serve
-    // the histogram-AVI tier directly.
-    shard->guard->EstimateFallbackTier(shard->queries.data(), m,
-                                       shard->outs.data());
-  } else {
-    shard->guard->EstimateBatchGuarded(shard->queries.data(), m,
-                                       shard->outs.data(),
-                                       /*order_key_base=*/0, &shard->scratch);
-  }
+  EstimateTier(shard, shard->queries.data(), m, shard->outs.data());
   if (options_.feedback) {
     // Learned point-estimate correction (primary-sourced answers only).
     for (size_t i = 0; i < m; ++i) {
@@ -530,13 +512,16 @@ void ServeFrontEnd::ProcessFrom(Shard* shard, Request* first) {
     }
   }
   const SteadyClock::time_point completed = SteadyClock::now();
+  // Batch stats before publication: a caller that has seen every
+  // response counts as quiesced and may read or reset them, and only the
+  // responses' release stores order this thread's writes before its.
+  shard->batch_size_counts[m] += 1;
+  metrics_.batches.Increment();
+  metrics_.batch_size.Record(static_cast<double>(m));
   for (size_t i = 0; i < m; ++i) {
     Publish(shard->batch[i], shard->outs[i], *shard,
             static_cast<uint32_t>(m), dispatched, completed);
   }
-  shard->batch_size_counts[m] += 1;
-  metrics_.batches.Increment();
-  metrics_.batch_size.Record(static_cast<double>(m));
 }
 
 void ServeFrontEnd::Publish(Request* request, const GuardedEstimate& estimate,
@@ -622,17 +607,15 @@ void ServeFrontEnd::Stop() {
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
-  // Serve any stragglers that slipped in behind a worker's exit check,
-  // per query on this thread — Stop() returns only after every accepted
-  // request has a published response.
+  // Serve what the workers left queued through their own batch cycle
+  // (same tier, correction and interval): Stop() returns only after
+  // every accepted request has a published response.
   for (auto& shard : shards_) {
-    Request* request = nullptr;
-    while (shard->queue.TryPop(&request)) {
-      shard->depth.fetch_sub(1, std::memory_order_relaxed);
-      const SteadyClock::time_point now = SteadyClock::now();
-      Publish(request, shard->guard->EstimateGuarded(request->query),
-              *shard, /*batch_size=*/1, now, SteadyClock::now());
-      metrics_.drained_on_stop.Increment();
+    Request* first = nullptr;
+    while (shard->queue.TryPop(&first)) {
+      shard->depth.fetch_sub(1, std::memory_order_seq_cst);
+      ProcessFrom(shard.get(), first);
+      metrics_.drained_on_stop.Increment(shard->batch.size());
     }
     // Feedback accepted before the stop flag is applied, not lost:
     // Observe() rejects once stopping_, and the ring holds at most one

@@ -19,12 +19,15 @@
 //     assembly, guarded batched inference, interval inversion, response
 //     publication — performs zero heap allocations once buffers have
 //     warmed up (preallocated queue cells, capacity-reusing Query
-//     copies, GuardBatchScratch, arena-recycled tensors).
+//     copies, the guard's per-thread buffers, arena-recycled tensors).
 //   * Load is shed, never queued unboundedly: a full shard queue or an
 //     open breaker above the admission watermark fails fast with a
 //     trivially valid [0, N] interval flagged shed+degraded.
-//   * Stop() drains: every accepted request gets a response before the
-//     workers join.
+//   * Stop() drains: every accepted request gets a response before Stop
+//     returns — from its worker, or, for requests still queued once
+//     stopping, from Stop() itself through the worker's batch cycle.
+//   * No lost wakeups: an idle worker sleeps on an untimed wait guarded
+//     by a seq_cst Dekker handshake with the producers (WorkerLoop).
 //
 // With Options::feedback enabled the front-end closes the drift loop
 // (docs/ROBUSTNESS.md "Drift & self-healing"): Observe(query, truth)
@@ -220,8 +223,8 @@ class ServeFrontEnd {
 
   /// Synchronously seeds every shard's recalibrator and corrector from
   /// a labeled calibration workload (each query routed to its owning
-  /// shard, estimated by that shard's guard). Call while quiesced — no
-  /// requests in flight. No-op unless feedback is enabled.
+  /// shard and applied exactly like an Observe()d one). Call while
+  /// quiesced — no requests in flight. No-op unless feedback is enabled.
   void WarmupFeedback(const Workload& calibration);
 
   /// Current ladder stage of `shard` (kHealthy when feedback is off).
@@ -229,8 +232,8 @@ class ServeFrontEnd {
   /// Observations dropped on full feedback rings, summed over shards.
   uint64_t FeedbackDropped() const;
 
-  /// Rejects new requests, serves everything already accepted, joins
-  /// the workers. Idempotent.
+  /// Rejects new requests, joins the workers (each finishes its batch in
+  /// progress), then serves everything still queued. Idempotent.
   void Stop();
   bool stopped() const {
     return stopping_.load(std::memory_order_acquire);
@@ -256,19 +259,24 @@ class ServeFrontEnd {
   struct Shard;
 
   void WorkerLoop(Shard* shard);
-  /// Assembles one micro-batch starting from `first`, runs the guarded
-  /// batched estimate, and publishes every response. When feedback is on
+  /// The batch cycle, run by the shard's worker and by Stop()'s drain:
+  /// assembles one micro-batch starting from `first`, estimates it with
+  /// EstimateTier, and publishes every response. When feedback is on
   /// the cycle starts by draining the shard's feedback ring into the
   /// recalibrator/corrector/detector (micro-batch-boundary application
   /// keeps the ordering deterministic for a fixed request sequence).
   void ProcessFrom(Shard* shard, Request* first);
+  /// Every serve-side estimate: the guard's fallback tier from drift
+  /// stage kFallback on, its full guarded batch path before.
+  void EstimateTier(Shard* shard, const Query* queries, size_t n,
+                    GuardedEstimate* out) const;
   /// Drains and applies queued feedback for `shard` (worker thread
   /// only).
   void ApplyFeedback(Shard* shard);
-  /// Applies one executed-query observation to `shard`'s adaptive state
-  /// and steps the drift detector.
-  void FeedOne(Shard* shard, const Query& query,
-               const GuardedEstimate& estimate, double truth);
+  /// Applies one executed-query observation to `shard`: estimates it
+  /// with EstimateTier, feeds corrector and recalibrator, steps the
+  /// drift detector.
+  void FeedOne(Shard* shard, const Query& query, double truth);
   /// Runs the entry/exit actions of a ladder stage change and records
   /// the serve.drift.* transition metrics + event.
   void ApplyStageTransition(Shard* shard, DriftStage from, DriftStage to);

@@ -250,10 +250,11 @@ TEST(DeterminismTest, BatchedSparseInferenceMatchesPerQueryDense) {
   SetThreads(saved_threads);
 }
 
-// The guarded-path contract: with CONFCARD_FAULTS unset and no latency
-// budget, wrapping an estimator in GuardedEstimator must not change a
-// single bit — neither per query nor through the harness — at 1 and 4
-// threads, and must flag zero rows degraded.
+// The guarded-path contract: with CONFCARD_FAULTS unset, wrapping an
+// estimator in GuardedEstimator must not change a single bit — neither
+// per query (a batch of one through the tier walk) nor through the
+// harness (batched walks on pool threads) — at 1 and 4 threads, and
+// must flag zero rows degraded.
 TEST(DeterminismTest, GuardedPathBitIdenticalToUnguardedWhenFaultsOff) {
   const int saved_threads = CurrentThreads();
   Fixture f = MakeFixture();

@@ -1,14 +1,17 @@
 // The serving front-end's contracts: bit-identity of the micro-batched
 // path against the per-query guarded path (at 1 and 4 shards), the B=1
 // and T=0 degenerate batching modes, queue-full and breaker-watermark
-// shedding, clean drain on Stop() with requests in flight, quarantine
-// of invalid queries, multi-producer submission, and the scratch-reuse
-// overload of EstimateBatchGuarded.
+// shedding, clean drain on Stop() with requests in flight (the drain
+// answering exactly as the worker would, feedback on or off), the idle
+// worker's lost-wakeup-free handshake, quarantine of invalid queries,
+// multi-producer submission, and the scratch-reuse overload of
+// EstimateBatchGuarded.
 #include "serve/serve.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <deque>
 #include <limits>
@@ -23,6 +26,7 @@
 #include "conformal/scoring.h"
 #include "conformal/split.h"
 #include "data/generators.h"
+#include "obs/metrics.h"
 #include "query/workload.h"
 
 namespace confcard {
@@ -93,6 +97,35 @@ class GateEstimator : public CardinalityEstimator {
 
  private:
   mutable std::atomic<bool> open_;
+};
+
+// A histogram estimator whose EstimateBatch, while the latch is closed,
+// blocks until it opens; counts the batches that entered it. Lets a
+// test hold a worker inside a batch while Stop() begins.
+class LatchEstimator : public CardinalityEstimator {
+ public:
+  explicit LatchEstimator(const Table& table) : inner_(table) {}
+  std::string name() const override { return "latch"; }
+  double EstimateCardinality(const Query& query) const override {
+    double v = 0.0;
+    EstimateBatch(&query, 1, &v);
+    return v;
+  }
+  void EstimateBatch(const Query* queries, size_t n,
+                     double* out) const override {
+    entered_.fetch_add(1, std::memory_order_acq_rel);
+    while (closed_.load(std::memory_order_acquire)) std::this_thread::yield();
+    inner_.EstimateBatch(queries, n, out);
+  }
+  void set_closed(bool closed) {
+    closed_.store(closed, std::memory_order_release);
+  }
+  int entered() const { return entered_.load(std::memory_order_acquire); }
+
+ private:
+  HistogramEstimator inner_;
+  mutable std::atomic<bool> closed_{false};
+  mutable std::atomic<int> entered_{0};
 };
 
 class FailingEstimator : public CardinalityEstimator {
@@ -366,6 +399,117 @@ TEST(ServeTest, StopDrainsInFlightRequestsCleanly) {
   EXPECT_TRUE(late.response.shed);
 
   front.Stop();  // idempotent
+}
+
+// Requests still queued when Stop() begins are served by Stop()'s drain
+// through the worker's batch cycle: same tier, same residual correction
+// (feedback on), same interval as a worker-served answer.
+TEST(ServeTest, StopDrainAnswersLikeTheWorker) {
+  ServeFixture f;
+  LatchEstimator primary(f.base.table);
+  GuardedEstimator guard(primary, f.base.table);
+  obs::Counter& stop_served =
+      obs::Metrics().GetCounter("serve.drain.stop_served");
+  const size_t n = f.base.workload.size();
+
+  for (bool feedback : {false, true}) {
+    SCOPED_TRACE(feedback ? "feedback on" : "feedback off");
+    ServeFrontEnd::Options opts;
+    opts.max_batch = 4;
+    opts.flush_timeout_us = 0;
+    opts.feedback = feedback;
+
+    // Reference: every request answered by the worker.
+    std::vector<Response> reference(n);
+    {
+      ServeFrontEnd front({&guard}, f.scp, f.num_rows, opts);
+      front.WarmupFeedback(f.base.workload);
+      std::deque<Request> requests(n);
+      for (size_t i = 0; i < n; ++i) {
+        requests[i].query = f.base.workload[i].query;
+        ASSERT_EQ(front.Submit(&requests[i]), Admit::kAccepted);
+      }
+      for (size_t i = 0; i < n; ++i) {
+        requests[i].Wait();
+        reference[i] = requests[i].response;
+      }
+      front.Stop();
+    }
+
+    ServeFrontEnd front({&guard}, f.scp, f.num_rows, opts);
+    front.WarmupFeedback(f.base.workload);
+    std::deque<Request> requests(n);
+    // Hold the worker inside a batch of request 0 alone, then queue the
+    // rest behind it.
+    primary.set_closed(true);
+    const int entered = primary.entered();
+    requests[0].query = f.base.workload[0].query;
+    ASSERT_EQ(front.Submit(&requests[0]), Admit::kAccepted);
+    while (primary.entered() == entered) std::this_thread::yield();
+    for (size_t i = 1; i < n; ++i) {
+      requests[i].query = f.base.workload[i].query;
+      ASSERT_EQ(front.Submit(&requests[i]), Admit::kAccepted);
+    }
+    const uint64_t drained_before = stop_served.value();
+    std::thread stopper([&] { front.Stop(); });
+    while (!front.stopped()) std::this_thread::yield();
+    Request late;
+    late.query = f.base.workload[0].query;
+    ASSERT_EQ(front.Submit(&late), Admit::kRejectedStopped);
+    primary.set_closed(false);
+    stopper.join();
+
+    // The worker finished request 0 and left; the drain served the rest.
+    EXPECT_EQ(stop_served.value() - drained_before, n - 1);
+    size_t corrected = 0;
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(requests[i].done()) << "request " << i;
+      const Response& got = requests[i].response;
+      const Response& want = reference[i];
+      EXPECT_FALSE(got.shed);
+      ASSERT_EQ(got.estimate, want.estimate) << "request " << i;
+      ASSERT_EQ(got.lo, want.lo) << "request " << i;
+      ASSERT_EQ(got.hi, want.hi) << "request " << i;
+      EXPECT_EQ(got.degraded, want.degraded);
+      EXPECT_EQ(got.source, want.source);
+      if (got.estimate != guard.EstimateGuarded(requests[i].query).value) {
+        ++corrected;
+      }
+    }
+    // With feedback on, the residual correction really moved answers.
+    if (feedback) {
+      EXPECT_GT(corrected, 0u);
+    } else {
+      EXPECT_EQ(corrected, 0u);
+    }
+  }
+}
+
+// Submit-one-then-wait rounds, spaced so the worker goes idle between
+// them: each submit must wake it. The worker's wait has no timeout, so a
+// lost wakeup would hang the request; the deadline turns that into a
+// failure.
+TEST(ServeTest, IdleWorkerWakesForEverySubmit) {
+  ServeFixture f;
+  ServeFrontEnd::Options opts;
+  opts.max_batch = 1;
+  ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, opts);
+  constexpr int kRounds = 10000;
+  Request r;
+  for (int round = 0; round < kRounds; ++round) {
+    r.Reset();
+    r.query = f.base.workload[round % f.base.workload.size()].query;
+    ASSERT_EQ(front.Submit(&r), Admit::kAccepted);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!r.done()) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "round " << round << " was never served";
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  front.Stop();
 }
 
 TEST(ServeTest, InvalidQueryIsQuarantinedThroughServe) {
