@@ -40,6 +40,14 @@ class CardinalityEstimator {
     for (size_t i = 0; i < n; ++i) out[i] = EstimateCardinality(queries[i]);
   }
 
+  /// Warms the calling thread's buffers so that a later EstimateBatch of
+  /// any size 1..max_batch on this thread allocates nothing it would not
+  /// allocate at a size it has already run. Pure: no estimate is made,
+  /// no metric recorded, no fault drawn. The default does nothing; models
+  /// whose batch path recycles size-keyed buffers (LW-NN's arena tensors)
+  /// override it. A serving worker calls it once before its first batch.
+  virtual void PrimeBatchSizes(size_t max_batch) const { (void)max_batch; }
+
   /// Process-unique id of this estimator instance. Used by caches in
   /// place of the object address, which can be reused after destruction
   /// (e.g., models re-created in a loop at the same stack slot).

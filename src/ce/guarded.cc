@@ -354,6 +354,17 @@ void GuardedEstimator::EstimateFallbackTier(const Query* queries, size_t n,
   Walk(queries, n, out, /*use_primary=*/false, order_key_base, nullptr);
 }
 
+void GuardedEstimator::PrimeBatchSizes(size_t max_batch) const {
+  thread_scratch.pending.reserve(max_batch);
+  thread_scratch.fate.reserve(max_batch);
+  thread_scratch.values.reserve(max_batch);
+  primary_->PrimeBatchSizes(max_batch);
+  for (const CardinalityEstimator* fallback : fallbacks_) {
+    fallback->PrimeBatchSizes(max_batch);
+  }
+  histogram_->PrimeBatchSizes(max_batch);
+}
+
 double GuardedEstimator::EstimateCardinality(const Query& query) const {
   return EstimateGuarded(query).value;
 }

@@ -126,6 +126,16 @@ class GuardedEstimator : public CardinalityEstimator {
                             GuardedEstimate* out,
                             uint64_t order_key_base = 0) const;
 
+  /// Primes the calling thread for guarded batches of every size
+  /// 1..max_batch: reserves its tier-walk scratch (the buffers passed-
+  /// null-scratch walks use) and forwards to every tier's own
+  /// PrimeBatchSizes. Runs no tier, records no metric, moves no breaker
+  /// and draws no fault.
+  void PrimeBatchSizes(size_t max_batch) const override;
+
+  /// Column count of the guarded table.
+  size_t num_columns() const { return num_columns_; }
+
   /// Forces the breaker open (true) or releases the force (false). While
   /// forced, breaker_open() reports open, AllowPrimary denies every
   /// query (no probes), and the organic breaker state underneath is

@@ -182,6 +182,18 @@ void LwnnEstimator::EstimateBatch(const Query* queries, size_t n,
   query_counter.Increment(n);
 }
 
+void LwnnEstimator::PrimeBatchSizes(size_t max_batch) const {
+  if (net_ == nullptr) return;
+  // The same tensors, by byte size and lifetime, as EstimateBatch
+  // allocates: the arena recycles by exact size, so each batch size's
+  // activations must have been released on this thread once.
+  const size_t dim = flat_->dim() + 2;
+  for (size_t n = 1; n <= max_batch; ++n) {
+    const nn::Tensor in = nn::Tensor::Zeros(n, dim);
+    const nn::Tensor pred = net_->Apply(in);
+  }
+}
+
 Status LwnnEstimator::SaveToFile(const std::string& path) const {
   if (net_ == nullptr) return Status::FailedPrecondition("lw-nn: not trained");
   ArchiveWriter w(kLwnnMagic, kLwnnVersion);

@@ -41,6 +41,10 @@ class LwnnEstimator : public SupervisedEstimator {
   /// the same query's batch of one.
   void EstimateBatch(const Query* queries, size_t n,
                      double* out) const override;
+  /// Runs the network once per batch size 1..max_batch on zero inputs,
+  /// so this thread's arena holds every activation buffer a batch of
+  /// those sizes needs. No-op until trained.
+  void PrimeBatchSizes(size_t max_batch) const override;
 
   Status Train(const Table& table, const Workload& workload) override;
   std::unique_ptr<SupervisedEstimator> CloneArchitecture(

@@ -211,6 +211,12 @@ ServeFrontEnd::ServeFrontEnd(std::vector<const GuardedEstimator*> shard_guards,
     shard->index = static_cast<int>(i);
     shard->batch.reserve(b);
     shard->queries.resize(b);
+    // One predicate per column is the most a generated query carries, so
+    // a slot first used long after start-up (a batch size that only a
+    // stall produces) does not grow on the hot path.
+    for (Query& q : shard->queries) {
+      q.predicates.reserve(shard->guard->num_columns());
+    }
     shard->outs.resize(b);
     shard->batch_size_counts.assign(b + 1, 0);
     if (options_.feedback) {
@@ -424,6 +430,10 @@ void ServeFrontEnd::ApplyFeedback(Shard* shard) {
 }
 
 void ServeFrontEnd::WorkerLoop(Shard* shard) {
+  // Batches are work-conserving, so every size 1..max_batch occurs, the
+  // larger ones only after a stall; warm this thread for all of them
+  // before the first batch is counted.
+  shard->guard->PrimeBatchSizes(static_cast<size_t>(options_.max_batch));
   // Once stopping, the worker leaves after the batch in progress; Stop()
   // serves whatever is still queued through the same batch cycle.
   while (!stopping_.load(std::memory_order_acquire)) {
@@ -440,6 +450,7 @@ void ServeFrontEnd::WorkerLoop(Shard* shard) {
           std::memory_order_relaxed);
       continue;
     }
+    if (PollForWork(shard)) continue;
     // No lost wakeups: a producer increments depth then loads idle;
     // this thread stores idle then loads depth. All four are seq_cst, so
     // the later pair in the total order sees the other's write: either
@@ -456,42 +467,40 @@ void ServeFrontEnd::WorkerLoop(Shard* shard) {
   }
 }
 
+bool ServeFrontEnd::PollForWork(const Shard* shard) const {
+  if (options_.flush_timeout_us == 0) return false;
+  const SteadyClock::time_point deadline =
+      SteadyClock::now() + std::chrono::microseconds(options_.flush_timeout_us);
+  int spins = 0;
+  do {
+    if (shard->depth.load(std::memory_order_relaxed) > 0 ||
+        stopping_.load(std::memory_order_relaxed)) {
+      return true;
+    }
+    CpuRelax();
+    // Yield periodically so producers on oversubscribed hosts get the
+    // core this poll would otherwise hold.
+    if ((++spins & 0x3F) == 0) std::this_thread::yield();
+  } while (SteadyClock::now() < deadline);
+  return false;
+}
+
 void ServeFrontEnd::ProcessFrom(Shard* shard, Request* first) {
   // Micro-batch boundary: fold queued executed-query truth into the
   // recalibrator/corrector/detector before computing this batch, so the
   // adaptation point is a deterministic function of the request and
   // feedback sequences.
   ApplyFeedback(shard);
+  // Work-conserving assembly: whatever is queued now, up to max_batch,
+  // and no waiting for stragglers. Batches grow with load on their own,
+  // because requests pile up while the previous batch computes.
   shard->batch.clear();
   shard->batch.push_back(first);
   const size_t max_batch = static_cast<size_t>(options_.max_batch);
-  if (max_batch > 1 && shard->batch.size() < max_batch) {
-    // Dynamic micro-batching: drain whatever is queued, then wait up to
-    // the flush timeout for stragglers. T=0 degenerates to "one drain
-    // pass, no waiting".
-    const bool may_wait = options_.flush_timeout_us > 0;
-    const SteadyClock::time_point deadline =
-        may_wait ? SteadyClock::now() +
-                       std::chrono::microseconds(options_.flush_timeout_us)
-                 : SteadyClock::time_point{};
-    int spins = 0;
-    for (;;) {
-      Request* next = nullptr;
-      if (shard->queue.TryPop(&next)) {
-        shard->depth.fetch_sub(1, std::memory_order_seq_cst);
-        shard->batch.push_back(next);
-        if (shard->batch.size() >= max_batch) break;
-        continue;
-      }
-      if (!may_wait || stopping_.load(std::memory_order_relaxed) ||
-          SteadyClock::now() >= deadline) {
-        break;
-      }
-      CpuRelax();
-      // Yield periodically so producers on oversubscribed hosts can
-      // actually deliver the stragglers this wait is for.
-      if ((++spins & 0x3F) == 0) std::this_thread::yield();
-    }
+  Request* next = nullptr;
+  while (shard->batch.size() < max_batch && shard->queue.TryPop(&next)) {
+    shard->depth.fetch_sub(1, std::memory_order_seq_cst);
+    shard->batch.push_back(next);
   }
 
   const SteadyClock::time_point dispatched = SteadyClock::now();

@@ -1,7 +1,9 @@
 // High-throughput serving front-end over the guarded estimation stack:
-// multi-producer lock-free request queues feeding per-shard dynamic
-// micro-batchers (collect up to B queries or wait at most T µs, then one
-// EstimateBatch), shards routed by query content hash (each shard owns
+// multi-producer lock-free request queues feeding per-shard
+// work-conserving micro-batchers (a free worker dispatches whatever its
+// queue holds, up to B queries, as one EstimateBatch and never waits for
+// more; an idle worker polls its queue for up to T µs before it parks),
+// shards routed by query content hash (each shard owns
 // its GuardedEstimator, queue and worker and, with feedback on, its
 // recalibrator, residual corrector and drift ladder; shards may share
 // one immutable model, since a guard does not own its primary and keeps
@@ -17,17 +19,23 @@
 //     trained ones).
 //   * The steady-state hot path — submit, queue transfer, batch
 //     assembly, guarded batched inference, interval inversion, response
-//     publication — performs zero heap allocations once buffers have
-//     warmed up (preallocated queue cells, capacity-reusing Query
-//     copies, the guard's per-thread buffers, arena-recycled tensors).
+//     publication — performs zero heap allocations at every batch size
+//     1..B: queue cells and Query slots are preallocated, and each worker
+//     primes the guard's per-thread buffers and the model's
+//     arena-recycled tensors for every batch size before its first
+//     batch.
 //   * Load is shed, never queued unboundedly: a full shard queue or an
 //     open breaker above the admission watermark fails fast with a
 //     trivially valid [0, N] interval flagged shed+degraded.
 //   * Stop() drains: every accepted request gets a response before Stop
 //     returns — from its worker, or, for requests still queued once
 //     stopping, from Stop() itself through the worker's batch cycle.
-//   * No lost wakeups: an idle worker sleeps on an untimed wait guarded
-//     by a seq_cst Dekker handshake with the producers (WorkerLoop).
+//   * No request waits for batch-mates: a batch leaves as soon as its
+//     worker is free, so queueing delay is only the time spent behind
+//     earlier batches or waking a parked worker.
+//   * No lost wakeups: an idle worker, once its poll window has passed,
+//     sleeps on an untimed wait guarded by a seq_cst Dekker handshake
+//     with the producers (WorkerLoop).
 //
 // With Options::feedback enabled the front-end closes the drift loop
 // (docs/ROBUSTNESS.md "Drift & self-healing"): Observe(query, truth)
@@ -139,12 +147,16 @@ int ShardsFromEnv();
 class ServeFrontEnd {
  public:
   struct Options {
-    /// Micro-batch budget B: a batch is dispatched as soon as B requests
-    /// are assembled. 1 degenerates to the per-query path.
+    /// Micro-batch cap B: a free worker dispatches whatever its queue
+    /// holds, up to B requests, as one batch. 1 degenerates to the
+    /// per-query path.
     int max_batch = 32;
-    /// Flush timeout T µs: a non-empty batch waits at most this long for
-    /// more arrivals before dispatching. 0 flushes immediately (every
-    /// batch is whatever one queue drain pass yields).
+    /// Idle-poll window T µs: a worker whose queue is empty polls it for
+    /// up to this long before parking on its wake condition, so bursts
+    /// find it awake and producers rarely pay a notify. It never delays
+    /// a request: batches do not wait for stragglers. 0 parks at once.
+    /// (The name predates work-conserving batching, when T bounded how
+    /// long a batch waited to fill.)
     int flush_timeout_us = 200;
     /// Per-shard bounded queue capacity; a full queue sheds.
     size_t queue_capacity = 1024;
@@ -259,8 +271,13 @@ class ServeFrontEnd {
   struct Shard;
 
   void WorkerLoop(Shard* shard);
+  /// The idle worker's poll before it parks: true as soon as the shard
+  /// queue holds a request (or the front-end is stopping), false once
+  /// flush_timeout_us has passed with neither (at once when it is 0).
+  bool PollForWork(const Shard* shard) const;
   /// The batch cycle, run by the shard's worker and by Stop()'s drain:
-  /// assembles one micro-batch starting from `first`, estimates it with
+  /// assembles one micro-batch from `first` and whatever else is queued
+  /// (up to max_batch, without waiting for more), estimates it with
   /// EstimateTier, and publishes every response. When feedback is on
   /// the cycle starts by draining the shard's feedback ring into the
   /// recalibrator/corrector/detector (micro-batch-boundary application

@@ -1,11 +1,13 @@
 // The serving front-end's contracts: bit-identity of the micro-batched
 // path against the per-query guarded path (at 1 and 4 shards), the B=1
-// and T=0 degenerate batching modes, queue-full and breaker-watermark
+// degenerate batching mode, queue-full and breaker-watermark
 // shedding, clean drain on Stop() with requests in flight (the drain
-// answering exactly as the worker would, feedback on or off), the idle
-// worker's lost-wakeup-free handshake, quarantine of invalid queries,
-// multi-producer submission, and the scratch-reuse overload of
-// EstimateBatchGuarded.
+// answering exactly as the worker would, feedback on or off), the
+// work-conserving batcher (no request waits for batch-mates, a backlog
+// leaves as one batch, every batch size is allocation-free), the idle
+// worker's poll-then-park and lost-wakeup-free handshake, quarantine of
+// invalid queries, multi-producer submission, and the scratch-reuse
+// overload of EstimateBatchGuarded.
 #include "serve/serve.h"
 
 #include <gtest/gtest.h>
@@ -22,10 +24,12 @@
 
 #include "ce/guarded.h"
 #include "ce/histogram.h"
+#include "ce/lwnn.h"
 #include "conformal/interval.h"
 #include "conformal/scoring.h"
 #include "conformal/split.h"
 #include "data/generators.h"
+#include "nn/arena.h"
 #include "obs/metrics.h"
 #include "query/workload.h"
 
@@ -99,12 +103,13 @@ class GateEstimator : public CardinalityEstimator {
   mutable std::atomic<bool> open_;
 };
 
-// A histogram estimator whose EstimateBatch, while the latch is closed,
+// Wraps an estimator whose EstimateBatch, while the latch is closed,
 // blocks until it opens; counts the batches that entered it. Lets a
-// test hold a worker inside a batch while Stop() begins.
+// test hold a worker inside a batch while Stop() begins or a backlog
+// builds. Priming passes straight through to the inner estimator.
 class LatchEstimator : public CardinalityEstimator {
  public:
-  explicit LatchEstimator(const Table& table) : inner_(table) {}
+  explicit LatchEstimator(const CardinalityEstimator& inner) : inner_(inner) {}
   std::string name() const override { return "latch"; }
   double EstimateCardinality(const Query& query) const override {
     double v = 0.0;
@@ -117,13 +122,16 @@ class LatchEstimator : public CardinalityEstimator {
     while (closed_.load(std::memory_order_acquire)) std::this_thread::yield();
     inner_.EstimateBatch(queries, n, out);
   }
+  void PrimeBatchSizes(size_t max_batch) const override {
+    inner_.PrimeBatchSizes(max_batch);
+  }
   void set_closed(bool closed) {
     closed_.store(closed, std::memory_order_release);
   }
   int entered() const { return entered_.load(std::memory_order_acquire); }
 
  private:
-  HistogramEstimator inner_;
+  const CardinalityEstimator& inner_;
   mutable std::atomic<bool> closed_{false};
   mutable std::atomic<int> entered_{0};
 };
@@ -240,15 +248,15 @@ TEST(ServeTest, MaxBatchOneDegeneratesToPerQuery) {
   }
 }
 
-TEST(ServeTest, ZeroTimeoutFlushesImmediately) {
+TEST(ServeTest, LoneRequestsServeAsBatchesOfOne) {
   ServeFixture f;
   ServeFrontEnd::Options opts;
   opts.max_batch = 32;
-  opts.flush_timeout_us = 0;
+  opts.flush_timeout_us = 0;  // the worker parks after every request
   ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, opts);
 
   // Submitting one at a time, the queue never holds more than one
-  // request, and T=0 forbids waiting for stragglers: every batch is 1.
+  // request, and no batch waits for stragglers: every batch is 1.
   for (const LabeledQuery& lq : f.base.workload) {
     Request r;
     r.query = lq.query;
@@ -367,7 +375,7 @@ TEST(ServeTest, StopDrainsInFlightRequestsCleanly) {
   ServeFixture f;
   ServeFrontEnd::Options opts;
   opts.max_batch = 32;
-  opts.flush_timeout_us = 5000;  // long flush window: Stop must not wait it out
+  opts.flush_timeout_us = 5000;  // long idle poll: Stop must not wait it out
   ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, opts);
 
   const size_t n = f.base.workload.size();
@@ -406,7 +414,7 @@ TEST(ServeTest, StopDrainsInFlightRequestsCleanly) {
 // (feedback on), same interval as a worker-served answer.
 TEST(ServeTest, StopDrainAnswersLikeTheWorker) {
   ServeFixture f;
-  LatchEstimator primary(f.base.table);
+  LatchEstimator primary(f.primary);
   GuardedEstimator guard(primary, f.base.table);
   obs::Counter& stop_served =
       obs::Metrics().GetCounter("serve.drain.stop_served");
@@ -485,18 +493,18 @@ TEST(ServeTest, StopDrainAnswersLikeTheWorker) {
   }
 }
 
-// Submit-one-then-wait rounds, spaced so the worker goes idle between
-// them: each submit must wake it. The worker's wait has no timeout, so a
-// lost wakeup would hang the request; the deadline turns that into a
-// failure.
-TEST(ServeTest, IdleWorkerWakesForEverySubmit) {
+// Submit-one-then-wait rounds, `gap` apart; each submit must reach the
+// worker. The parked worker's wait has no timeout, so a lost wakeup
+// would hang the request; the deadline turns that into a failure.
+void ServeLoneRoundsWithin2s(int poll_us, std::chrono::microseconds gap,
+                             int rounds) {
   ServeFixture f;
   ServeFrontEnd::Options opts;
   opts.max_batch = 1;
+  opts.flush_timeout_us = poll_us;
   ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, opts);
-  constexpr int kRounds = 10000;
   Request r;
-  for (int round = 0; round < kRounds; ++round) {
+  for (int round = 0; round < rounds; ++round) {
     r.Reset();
     r.query = f.base.workload[round % f.base.workload.size()].query;
     ASSERT_EQ(front.Submit(&r), Admit::kAccepted);
@@ -507,8 +515,141 @@ TEST(ServeTest, IdleWorkerWakesForEverySubmit) {
           << "round " << round << " was never served";
       std::this_thread::yield();
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    std::this_thread::sleep_for(gap);
   }
+  front.Stop();
+}
+
+// T=0: the worker parks as soon as its queue is empty, so every round
+// parks and must be woken.
+TEST(ServeTest, IdleWorkerWakesForEverySubmit) {
+  ServeLoneRoundsWithin2s(/*poll_us=*/0, std::chrono::microseconds(20),
+                          10000);
+}
+
+// A small T and gaps longer than it: every round polls, gives up, parks,
+// and must be woken — the poll-then-park transition under a hammer.
+TEST(ServeTest, WorkerParksAfterItsPollWindowAndWakes) {
+  ServeLoneRoundsWithin2s(/*poll_us=*/5, std::chrono::microseconds(100),
+                          2000);
+}
+
+// A lone request is dispatched as soon as the worker has it: with a 1 s
+// poll window and room for 32, nothing waits for batch-mates. Stop()
+// interrupts a worker that is still polling.
+TEST(ServeTest, NoRequestWaitsForBatchMates) {
+  ServeFixture f;
+  ServeFrontEnd::Options opts;
+  opts.max_batch = 32;
+  opts.flush_timeout_us = 1000000;
+  ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, opts);
+  for (size_t i = 0; i < 5; ++i) {
+    Request r;
+    r.query = f.base.workload[i].query;
+    ASSERT_EQ(front.Submit(&r), Admit::kAccepted);
+    r.Wait();
+    EXPECT_EQ(r.response.batch_size, 1u);
+    // Far below T; the slack absorbs a descheduled worker.
+    EXPECT_LT(r.response.queue_us, 100000.0) << "request " << i;
+  }
+  const auto stop_start = std::chrono::steady_clock::now();
+  front.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start,
+            std::chrono::milliseconds(500));
+}
+
+// A backlog that built while the worker was busy leaves as one batch
+// the moment the worker is free (or as max_batch plus the remainder),
+// without waiting out the poll window for more.
+TEST(ServeTest, BacklogFormsOneBatch) {
+  ServeFixture f;
+  LatchEstimator primary(f.primary);
+  GuardedEstimator guard(primary, f.base.table);
+  ServeFrontEnd::Options opts;
+  opts.max_batch = 8;
+  opts.flush_timeout_us = 1000000;
+  ServeFrontEnd front({&guard}, f.scp, f.num_rows, opts);
+
+  for (const size_t k : {size_t{5}, size_t{11}}) {
+    SCOPED_TRACE(k);
+    // Hold the worker inside a batch of one holder request ...
+    primary.set_closed(true);
+    const int entered = primary.entered();
+    Request holder;
+    holder.query = f.base.workload[0].query;
+    ASSERT_EQ(front.Submit(&holder), Admit::kAccepted);
+    while (primary.entered() == entered) std::this_thread::yield();
+    // ... queue k behind it, then let it go.
+    std::deque<Request> backlog(k);
+    for (size_t i = 0; i < k; ++i) {
+      backlog[i].query = f.base.workload[1 + i].query;
+      ASSERT_EQ(front.Submit(&backlog[i]), Admit::kAccepted);
+    }
+    const auto released = std::chrono::steady_clock::now();
+    primary.set_closed(false);
+    holder.Wait();
+    for (Request& r : backlog) r.Wait();
+    EXPECT_LT(std::chrono::steady_clock::now() - released,
+              std::chrono::milliseconds(250));
+    EXPECT_EQ(holder.response.batch_size, 1u);
+    const uint32_t first = static_cast<uint32_t>(std::min<size_t>(k, 8));
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(backlog[i].response.batch_size,
+                i < first ? first : static_cast<uint32_t>(k - first))
+          << "request " << i;
+    }
+  }
+  front.Stop();
+}
+
+// A trained LW-NN behind the latch, so the forward pass draws its
+// activations from the arena: one batch of every size 1..max_batch after
+// start-up, none of them seen before, allocates nothing.
+TEST(ServeTest, AllocationFreeAtEveryBatchSize) {
+  if (!nn::ArenaEnabled()) {
+    GTEST_SKIP() << "arena disabled via CONFCARD_ARENA";
+  }
+  ServeFixture f;
+  LwnnEstimator::Options lo;
+  lo.hidden1 = 16;
+  lo.hidden2 = 8;
+  lo.epochs = 2;
+  LwnnEstimator lwnn(lo);
+  ASSERT_TRUE(lwnn.Train(f.base.table, f.base.workload).ok());
+  // A served model has estimated before (its calibration); the first
+  // estimate in a process registers the model's metrics, once.
+  lwnn.EstimateCardinality(f.base.workload[0].query);
+  LatchEstimator primary(lwnn);
+  GuardedEstimator guard(primary, f.base.table);
+  constexpr int kMaxBatch = 12;
+  ServeFrontEnd::Options opts;
+  opts.max_batch = kMaxBatch;
+  opts.flush_timeout_us = 0;
+  ServeFrontEnd front({&guard}, f.scp, f.num_rows, opts);
+
+  const size_t n = f.base.workload.size();
+  std::deque<Request> requests(kMaxBatch);
+  for (size_t k = 1; k <= kMaxBatch; ++k) {
+    SCOPED_TRACE(k);
+    primary.set_closed(true);
+    const int entered = primary.entered();
+    Request holder;
+    holder.query = f.base.workload[k % n].query;
+    ASSERT_EQ(front.Submit(&holder), Admit::kAccepted);
+    while (primary.entered() == entered) std::this_thread::yield();
+    for (size_t i = 0; i < k; ++i) {
+      requests[i].Reset();
+      requests[i].query = f.base.workload[(k + i) % n].query;
+      ASSERT_EQ(front.Submit(&requests[i]), Admit::kAccepted);
+    }
+    primary.set_closed(false);
+    holder.Wait();
+    for (size_t i = 0; i < k; ++i) {
+      requests[i].Wait();
+      ASSERT_EQ(requests[i].response.batch_size, k);
+    }
+  }
+  EXPECT_EQ(front.HotPathAllocs(), 0u);
   front.Stop();
 }
 
