@@ -87,7 +87,8 @@ Sweep SweepGemm() {
 
 // ------------------------------------------------------------------
 // Kernel microbench: scalar vs SIMD GFLOP/s for each GEMM variant and
-// the fused Dense bias+ReLU path at the three deployed model shapes
+// the dense inference kernel (AffineRows, bias+ReLU fused in registers)
+// at the three deployed model shapes
 // (MSCN set/final MLPs, Naru's MADE hidden layer, LW-NN's funnel).
 // Single-threaded on purpose — this isolates raw kernel throughput
 // from pool scaling, which the sweeps above already measure.
@@ -176,7 +177,11 @@ std::vector<KernelResult> SweepKernels() {
       nn::Tensor in = nn::Tensor::Randn(s.n, s.k, 1.0f, rng);
       results.push_back(
           TimeKernel(std::string("dense_fused/") + s.tag, flops, [&] {
-            return dense.ApplyActivated(in, /*relu=*/true);
+            nn::Tensor out = nn::Tensor::Uninitialized(s.n, s.m);
+            nn::AffineRows(in.RowPtr(0), s.n, dense.weight().value,
+                           dense.bias().value.RowPtr(0), /*relu=*/true,
+                           out.RowPtr(0));
+            return out;
           }));
     }
   }

@@ -14,9 +14,34 @@
 
 #include "common/status.h"
 #include "data/table.h"
+#include "obs/metrics.h"
 #include "query/predicate.h"
 
 namespace confcard {
+
+/// A learned model's inference metrics: "ce.<model>.queries" counts the
+/// queries it estimated and "ce.<model>.infer_us" gets one sample per
+/// query, its batch's time per query. A model registers them when it is
+/// constructed, so no estimate — not even a worker's first batch —
+/// registers (and allocates) them.
+class InferenceMetrics {
+ public:
+  explicit InferenceMetrics(const std::string& model)
+      : queries_(&obs::Metrics().GetCounter("ce." + model + ".queries")),
+        infer_us_(
+            &obs::Metrics().GetHistogram("ce." + model + ".infer_us")) {}
+
+  /// Records a batch of n > 0 queries that took `elapsed_us` in all.
+  void Record(size_t n, double elapsed_us) const {
+    const double per_query_us = elapsed_us / static_cast<double>(n);
+    for (size_t i = 0; i < n; ++i) infer_us_->Record(per_query_us);
+    queries_->Increment(n);
+  }
+
+ private:
+  obs::Counter* queries_;
+  obs::Histogram* infer_us_;
+};
 
 /// Black-box single-table cardinality estimator.
 class CardinalityEstimator {
@@ -39,14 +64,6 @@ class CardinalityEstimator {
                              double* out) const {
     for (size_t i = 0; i < n; ++i) out[i] = EstimateCardinality(queries[i]);
   }
-
-  /// Warms the calling thread's buffers so that a later EstimateBatch of
-  /// any size 1..max_batch on this thread allocates nothing it would not
-  /// allocate at a size it has already run. Pure: no estimate is made,
-  /// no metric recorded, no fault drawn. The default does nothing; models
-  /// whose batch path recycles size-keyed buffers (LW-NN's arena tensors)
-  /// override it. A serving worker calls it once before its first batch.
-  virtual void PrimeBatchSizes(size_t max_batch) const { (void)max_batch; }
 
   /// Process-unique id of this estimator instance. Used by caches in
   /// place of the object address, which can be reused after destruction

@@ -358,11 +358,6 @@ void GuardedEstimator::PrimeBatchSizes(size_t max_batch) const {
   thread_scratch.pending.reserve(max_batch);
   thread_scratch.fate.reserve(max_batch);
   thread_scratch.values.reserve(max_batch);
-  primary_->PrimeBatchSizes(max_batch);
-  for (const CardinalityEstimator* fallback : fallbacks_) {
-    fallback->PrimeBatchSizes(max_batch);
-  }
-  histogram_->PrimeBatchSizes(max_batch);
 }
 
 double GuardedEstimator::EstimateCardinality(const Query& query) const {

@@ -128,10 +128,9 @@ class GuardedEstimator : public CardinalityEstimator {
 
   /// Primes the calling thread for guarded batches of every size
   /// 1..max_batch: reserves its tier-walk scratch (the buffers passed-
-  /// null-scratch walks use) and forwards to every tier's own
-  /// PrimeBatchSizes. Runs no tier, records no metric, moves no breaker
-  /// and draws no fault.
-  void PrimeBatchSizes(size_t max_batch) const override;
+  /// null-scratch walks use). Runs no tier, records no metric, moves no
+  /// breaker and draws no fault.
+  void PrimeBatchSizes(size_t max_batch) const;
 
   /// Column count of the guarded table.
   size_t num_columns() const { return num_columns_; }

@@ -31,7 +31,8 @@ constexpr uint32_t kLwnnVersion = 1;
 
 LwnnEstimator::LwnnEstimator() : LwnnEstimator(Options{}) {}
 
-LwnnEstimator::LwnnEstimator(Options options) : options_(options) {}
+LwnnEstimator::LwnnEstimator(Options options)
+    : options_(options), metrics_("lw-nn") {}
 
 std::vector<float> LwnnEstimator::Features(const Query& query) const {
   CONFCARD_CHECK_MSG(flat_ != nullptr, "lw-nn: not trained");
@@ -81,8 +82,12 @@ Status LwnnEstimator::Train(const Table& table, const Workload& workload) {
   CONFCARD_RETURN_NOT_OK(fault::Check("lwnn.train", options_.seed));
   PublishTrainMeta();
   obs::Metrics().GetCounter("ce.lw-nn.trainings").Increment();
+  auto flat = std::make_unique<FlatQueryFeaturizer>(table);
+  if (flat->dim() + 2 > kMaxFeatures) {
+    return Status::InvalidArgument("lw-nn: table has too many columns");
+  }
   num_rows_ = static_cast<double>(table.num_rows());
-  flat_ = std::make_unique<FlatQueryFeaturizer>(table);
+  flat_ = std::move(flat);
   histogram_ =
       std::make_unique<HistogramEstimator>(table, options_.histogram_buckets);
 
@@ -155,43 +160,32 @@ void LwnnEstimator::EstimateBatch(const Query* queries, size_t n,
                                   double* out) const {
   if (n == 0) return;
   CONFCARD_CHECK_MSG(net_ != nullptr, "lw-nn: not trained");
-  static obs::Counter& query_counter =
-      obs::Metrics().GetCounter("ce.lw-nn.queries");
-  static obs::Histogram& latency =
-      obs::Metrics().GetHistogram("ce.lw-nn.infer_us");
   Stopwatch watch;
-  const size_t dim = flat_->dim() + 2;
-  nn::Tensor in = nn::Tensor::Uninitialized(n, dim);
-  // Features are written straight into the packed tensor rows; with the
-  // arena recycling the activation buffers, a steady-state batch of a
-  // recurring size performs no heap allocation at all (the serving
-  // front-end's bench gates this).
-  for (size_t i = 0; i < n; ++i) FeaturesInto(queries[i], in.RowPtr(i));
-  nn::Tensor pred = net_->Apply(in);
+  // Each chunk's features and predictions live on the stack, so a batch
+  // of any size, on any thread, allocates nothing (the serving front
+  // end's tests gate this).
+  alignas(32) float features[kMaxFeatures];
+  float pred[kChunkRows];
+  const size_t dim = net_->in_dim();
+  const size_t chunk = std::min(kChunkRows, kMaxFeatures / dim);
   const bool faults = fault::Enabled();
-  for (size_t i = 0; i < n; ++i) {
-    const double card = std::exp(static_cast<double>(pred.At(i, 0))) - 1.0;
-    out[i] = std::clamp(card, 0.0, num_rows_);
-    if (faults) {
-      out[i] = fault::PerturbValue("lwnn.forward",
-                                   QueryContentKey(queries[i]), out[i]);
+  for (size_t i0 = 0; i0 < n; i0 += chunk) {
+    const size_t rows = std::min(chunk, n - i0);
+    for (size_t i = 0; i < rows; ++i) {
+      FeaturesInto(queries[i0 + i], features + i * dim);
+    }
+    net_->ApplyRows(features, rows, pred);
+    for (size_t i = 0; i < rows; ++i) {
+      const double card = std::exp(static_cast<double>(pred[i])) - 1.0;
+      double& v = out[i0 + i];
+      v = std::clamp(card, 0.0, num_rows_);
+      if (faults) {
+        v = fault::PerturbValue("lwnn.forward",
+                                QueryContentKey(queries[i0 + i]), v);
+      }
     }
   }
-  const double per_query_us = watch.ElapsedMicros() / static_cast<double>(n);
-  for (size_t i = 0; i < n; ++i) latency.Record(per_query_us);
-  query_counter.Increment(n);
-}
-
-void LwnnEstimator::PrimeBatchSizes(size_t max_batch) const {
-  if (net_ == nullptr) return;
-  // The same tensors, by byte size and lifetime, as EstimateBatch
-  // allocates: the arena recycles by exact size, so each batch size's
-  // activations must have been released on this thread once.
-  const size_t dim = flat_->dim() + 2;
-  for (size_t n = 1; n <= max_batch; ++n) {
-    const nn::Tensor in = nn::Tensor::Zeros(n, dim);
-    const nn::Tensor pred = net_->Apply(in);
-  }
+  metrics_.Record(n, watch.ElapsedMicros());
 }
 
 Status LwnnEstimator::SaveToFile(const std::string& path) const {
@@ -238,7 +232,7 @@ Result<LwnnEstimator> LwnnEstimator::LoadFromFile(const Table& table,
         "lw-nn archive was trained on a table with a different row count");
   }
   est.flat_ = std::make_unique<FlatQueryFeaturizer>(table);
-  if (est.flat_->dim() != flat_dim) {
+  if (est.flat_->dim() != flat_dim || flat_dim + 2 > kMaxFeatures) {
     return Status::InvalidArgument(
         "lw-nn archive featurization does not match this table");
   }

@@ -36,15 +36,11 @@ class LwnnEstimator : public SupervisedEstimator {
   std::string name() const override { return "lw-nn"; }
   /// A batch of one through EstimateBatch.
   double EstimateCardinality(const Query& query) const override;
-  /// Packs all featurized queries into one Tensor and runs a single
-  /// Apply (GEMM instead of n GEMVs). Each estimate is bit-identical to
-  /// the same query's batch of one.
+  /// Featurizes the queries a chunk at a time into a stack buffer and
+  /// runs the network on each chunk (Mlp::ApplyRows); allocates nothing.
+  /// Each estimate is bit-identical to the same query's batch of one.
   void EstimateBatch(const Query* queries, size_t n,
                      double* out) const override;
-  /// Runs the network once per batch size 1..max_batch on zero inputs,
-  /// so this thread's arena holds every activation buffer a batch of
-  /// those sizes needs. No-op until trained.
-  void PrimeBatchSizes(size_t max_batch) const override;
 
   Status Train(const Table& table, const Workload& workload) override;
   std::unique_ptr<SupervisedEstimator> CloneArchitecture(
@@ -55,7 +51,7 @@ class LwnnEstimator : public SupervisedEstimator {
   /// The heuristic feature vector for a query (exposed for tests).
   std::vector<float> Features(const Query& query) const;
   /// Writes the same `flat_->dim() + 2` features straight into `dst`;
-  /// the allocation-free path EstimateBatch packs tensor rows with.
+  /// the allocation-free path EstimateBatch fills its stack buffer with.
   void FeaturesInto(const Query& query, float* dst) const;
 
   /// Persists the trained estimator (options + network weights);
@@ -66,6 +62,12 @@ class LwnnEstimator : public SupervisedEstimator {
                                             const std::string& path);
 
  private:
+  // EstimateBatch's stack buffers: features of up to kChunkRows queries
+  // in kMaxFeatures floats, which bounds the feature dimension (Train
+  // rejects wider tables).
+  static constexpr size_t kMaxFeatures = 2048;
+  static constexpr size_t kChunkRows = 64;
+
   void PublishTrainMeta() const;
 
   Options options_;
@@ -74,6 +76,7 @@ class LwnnEstimator : public SupervisedEstimator {
   double num_rows_ = 1.0;
   double last_loss_ = 0.0;
   std::unique_ptr<nn::Mlp> net_;
+  InferenceMetrics metrics_;
 };
 
 }  // namespace confcard

@@ -28,7 +28,8 @@ constexpr size_t kMscnBatchChunk = 256;
 
 MscnEstimator::MscnEstimator() : MscnEstimator(Options{}) {}
 
-MscnEstimator::MscnEstimator(Options options) : options_(options) {}
+MscnEstimator::MscnEstimator(Options options)
+    : options_(options), metrics_("mscn") {}
 
 void MscnEstimator::PublishTrainMeta() const {
   obs::Metrics().SetMeta(
@@ -89,10 +90,6 @@ void MscnEstimator::EstimateBatch(const Query* queries, size_t n,
                                   double* out) const {
   if (n == 0) return;
   CONFCARD_CHECK_MSG(model_ != nullptr, "mscn: not trained");
-  static obs::Counter& query_counter =
-      obs::Metrics().GetCounter("ce.mscn.queries");
-  static obs::Histogram& latency =
-      obs::Metrics().GetHistogram("ce.mscn.infer_us");
   Stopwatch watch;
   for (size_t start = 0; start < n; start += kMscnBatchChunk) {
     const size_t end = std::min(n, start + kMscnBatchChunk);
@@ -134,9 +131,7 @@ void MscnEstimator::EstimateBatch(const Query* queries, size_t n,
                                    QueryContentKey(queries[i]), out[i]);
     }
   }
-  const double per_query_us = watch.ElapsedMicros() / static_cast<double>(n);
-  for (size_t i = 0; i < n; ++i) latency.Record(per_query_us);
-  query_counter.Increment(n);
+  metrics_.Record(n, watch.ElapsedMicros());
 }
 
 Status MscnEstimator::SaveToFile(const std::string& path) const {
@@ -227,7 +222,8 @@ uint64_t MscnJoinEstimator::NextInstanceId() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-MscnJoinEstimator::MscnJoinEstimator(MscnConfig config) : config_(config) {}
+MscnJoinEstimator::MscnJoinEstimator(MscnConfig config)
+    : config_(config), metrics_("mscn-join") {}
 
 Status MscnJoinEstimator::Train(const Database& db,
                                 const JoinWorkload& workload) {
@@ -263,10 +259,6 @@ void MscnJoinEstimator::EstimateBatch(const JoinQuery* queries, size_t n,
                                       double* out) const {
   if (n == 0) return;
   CONFCARD_CHECK_MSG(model_ != nullptr, "mscn-join: not trained");
-  static obs::Counter& query_counter =
-      obs::Metrics().GetCounter("ce.mscn-join.queries");
-  static obs::Histogram& latency =
-      obs::Metrics().GetHistogram("ce.mscn-join.infer_us");
   Stopwatch watch;
   for (size_t start = 0; start < n; start += kMscnBatchChunk) {
     const size_t end = std::min(n, start + kMscnBatchChunk);
@@ -314,9 +306,7 @@ void MscnJoinEstimator::EstimateBatch(const JoinQuery* queries, size_t n,
   for (size_t i = 0; i < n; ++i) {
     out[i] = std::max(0.0, std::exp(out[i]) - 1.0);
   }
-  const double per_query_us = watch.ElapsedMicros() / static_cast<double>(n);
-  for (size_t i = 0; i < n; ++i) latency.Record(per_query_us);
-  query_counter.Increment(n);
+  metrics_.Record(n, watch.ElapsedMicros());
 }
 
 std::unique_ptr<MscnJoinEstimator> MscnJoinEstimator::CloneArchitecture(

@@ -59,6 +59,7 @@ class MscnEstimator : public SupervisedEstimator {
   std::unique_ptr<SamplingEstimator> sampler_;
   std::unique_ptr<MscnFeaturizer> featurizer_;
   std::unique_ptr<MscnModel> model_;
+  InferenceMetrics metrics_;
 };
 
 /// MSCN over SPJ join queries (Figures 3-4). Not a CardinalityEstimator
@@ -98,6 +99,7 @@ class MscnJoinEstimator {
   uint64_t instance_id_ = NextInstanceId();
   std::unique_ptr<MscnJoinFeaturizer> featurizer_;
   std::unique_ptr<MscnModel> model_;
+  InferenceMetrics metrics_;
 };
 
 }  // namespace confcard

@@ -63,7 +63,8 @@ constexpr uint32_t kNaruMagic = 0x434E5231;
 constexpr uint32_t kNaruVersion = 1;
 }  // namespace
 
-NaruEstimator::NaruEstimator(NaruConfig config) : config_(config) {}
+NaruEstimator::NaruEstimator(NaruConfig config)
+    : config_(config), metrics_("naru") {}
 
 Status NaruEstimator::SaveToFile(const std::string& path) const {
   if (net_ == nullptr) return Status::FailedPrecondition("naru: not trained");
@@ -478,10 +479,6 @@ double NaruEstimator::EstimateCardinality(const Query& query) const {
 void NaruEstimator::EstimateBatch(const Query* queries, size_t n,
                                   double* out) const {
   if (n == 0) return;
-  static obs::Counter& query_counter =
-      obs::Metrics().GetCounter("ce.naru.queries");
-  static obs::Histogram& latency =
-      obs::Metrics().GetHistogram("ce.naru.infer_us");
   Stopwatch watch;
   const std::vector<size_t> sampled = SelectivityBatch(queries, n, out);
   for (size_t i = 0; i < n; ++i) out[i] *= num_rows_;
@@ -500,11 +497,7 @@ void NaruEstimator::EstimateBatch(const Query* queries, size_t n,
     }
   }
 
-  // One count per query, and one (amortized) histogram sample per query,
-  // whatever the batch size.
-  const double per_query_us = watch.ElapsedMicros() / static_cast<double>(n);
-  for (size_t i = 0; i < n; ++i) latency.Record(per_query_us);
-  query_counter.Increment(n);
+  metrics_.Record(n, watch.ElapsedMicros());
 }
 
 }  // namespace confcard

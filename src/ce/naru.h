@@ -107,6 +107,7 @@ class NaruEstimator : public DataDrivenEstimator {
   // Inference goes through the cache-free Apply path, so const methods
   // (and concurrent per-query evaluation) never touch training scratch.
   std::unique_ptr<nn::Sequential> net_;
+  InferenceMetrics metrics_;
 };
 
 }  // namespace confcard

@@ -170,51 +170,6 @@ Tensor Dense::Apply(const Tensor& input) const {
   return LinearForward(input, weight_, bias_);
 }
 
-namespace {
-
-// The fused bias(+ReLU) sweep of ApplyActivated. L::Relu reproduces the
-// scalar `v < 0.0f ? 0.0f : v` clamp exactly (including -0.0 and NaN;
-// see simd.h), so the vector sweep is bit-identical to the scalar one.
-template <typename L>
-void BiasActivateRows(Tensor* out, const float* b, bool relu) {
-  constexpr size_t W = L::kWidth;
-  const size_t m = out->cols();
-  for (size_t r = 0; r < out->rows(); ++r) {
-    float* row = out->RowPtr(r);
-    size_t c = 0;
-    if (relu) {
-      for (; c + W <= m; c += W) {
-        L::Store(row + c, L::Relu(L::Add(L::Load(row + c), L::Load(b + c))));
-      }
-      for (; c < m; ++c) {
-        const float v = row[c] + b[c];
-        row[c] = v < 0.0f ? 0.0f : v;
-      }
-    } else {
-      for (; c + W <= m; c += W) {
-        L::Store(row + c, L::Add(L::Load(row + c), L::Load(b + c)));
-      }
-      for (; c < m; ++c) row[c] += b[c];
-    }
-  }
-}
-
-}  // namespace
-
-Tensor Dense::ApplyActivated(const Tensor& input, bool relu) const {
-  CONFCARD_DCHECK(input.cols() == weight_.value.rows());
-  Tensor out = MatMul(input, weight_.value);
-  const float* b = bias_.value.RowPtr(0);
-  if constexpr (simd::kHaveNativeLanes) {
-    if (SimdEnabled()) {
-      BiasActivateRows<simd::NativeLanes>(&out, b, relu);
-      return out;
-    }
-  }
-  BiasActivateRows<simd::ScalarLanes>(&out, b, relu);
-  return out;
-}
-
 Tensor Dense::Backward(const Tensor& grad_output) {
   CONFCARD_DCHECK(grad_output.rows() == input_.rows());
   weight_.grad.Add(MatMulTransA(input_, grad_output));

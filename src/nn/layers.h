@@ -59,18 +59,13 @@ class Dense : public Layer {
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 
-  /// Inference forward with the bias-add and (optionally) the following
-  /// ReLU fused into one sweep over the output. Per element the sequence
-  /// is unchanged — products in ascending input order, then + bias, then
-  /// the clamp — so the result is bit-identical to Apply(input) followed
-  /// by Relu::Apply; only the number of passes over the tensor differs.
-  Tensor ApplyActivated(const Tensor& input, bool relu) const;
-
   size_t in_dim() const { return weight_.value.rows(); }
   size_t out_dim() const { return weight_.value.cols(); }
 
   Parameter& weight() { return weight_; }
   Parameter& bias() { return bias_; }
+  const Parameter& weight() const { return weight_; }
+  const Parameter& bias() const { return bias_; }
 
  private:
   Parameter weight_;  // (in, out)

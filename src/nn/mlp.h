@@ -18,10 +18,17 @@ class Mlp : public Layer {
   Mlp(const std::vector<size_t>& dims, Rng& rng);
 
   Tensor Forward(const Tensor& input) override;
-  /// Inference forward with each hidden layer's bias-add and ReLU fused
-  /// into one sweep (Dense::ApplyActivated). Bit-identical to Forward
-  /// and to the staged Dense::Apply + Relu::Apply chain: the per-element
-  /// op sequence is unchanged, only the number of passes differs.
+  /// The inference kernel: out[0, n * out_dim) = the network applied to
+  /// the n rows of in[0, n * in_dim). Rows go through every layer a tile
+  /// of up to kAffineTileRows at a time (AffineRows: register
+  /// accumulators, bias and ReLU in registers), the tile's activations
+  /// in a fixed stack buffer, so the call allocates nothing. Each row is
+  /// bit-identical to Forward's and independent of how the rows are
+  /// split across calls. Large batches fan their tiles out across the
+  /// thread pool, which cannot change a value.
+  void ApplyRows(const float* in, size_t n, float* out) const;
+  /// ApplyRows on the rows of a tensor, returning a fresh (n, out_dim)
+  /// tensor.
   Tensor Apply(const Tensor& input) const override;
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
@@ -30,13 +37,18 @@ class Mlp : public Layer {
   size_t out_dim() const { return out_dim_; }
 
  private:
+  // Floats in each of ApplyRows' two stack activation buffers.
+  static constexpr size_t kTileFloats = 1024;
+
   Sequential net_;
-  // The Dense layers of net_ in order, for the fused forward in Apply
-  // (each hidden Dense is followed by a ReLU; the bias-add and clamp
-  // share one sweep). Non-owning; net_ owns the layers.
+  // The Dense layers of net_ in order, for ApplyRows (each hidden Dense
+  // is followed by a ReLU). Non-owning; net_ owns the layers.
   std::vector<const Dense*> dense_;
   size_t in_dim_ = 0;
   size_t out_dim_ = 0;
+  // Rows per ApplyRows tile: kAffineTileRows unless a hidden layer is too
+  // wide for that many rows in kTileFloats.
+  size_t tile_rows_ = 0;
 };
 
 }  // namespace nn

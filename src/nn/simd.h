@@ -9,10 +9,13 @@
 // accumulation order must match the scalar kernel exactly. The lane ops
 // are plain mul/add (no FMA: a fused multiply-add rounds once instead
 // of twice and would change low bits), `Relu` reproduces
-// `v < 0.0f ? 0.0f : v` including -0.0 and NaN behavior, and
-// `LoadTransposed` turns a W x W tile of row-major memory into W column
-// vectors so dot-product kernels (MatMulTransB) can broadcast one
-// p-term at a time into W independent accumulator lanes.
+// `v < 0.0f ? 0.0f : v` including -0.0 and NaN behavior,
+// `NonZeroMask`/`And` turn the kernels' skip of zero inputs into a
+// branch-free mask on the product (all-ones where the input is nonzero
+// or NaN, so a NaN input still poisons the sum as an unskipped term
+// would), and `LoadTransposed` turns a W x W tile of row-major memory
+// into W column vectors so dot-product kernels (MatMulTransB) can
+// broadcast one p-term at a time into W independent accumulator lanes.
 //
 // ISA selection is at compile time from the target the translation unit
 // is built for:
@@ -35,7 +38,9 @@
 #ifndef CONFCARD_NN_SIMD_H_
 #define CONFCARD_NN_SIMD_H_
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 
 #if !defined(CONFCARD_SIMD_OFF)
 #if defined(__AVX2__)
@@ -92,6 +97,14 @@ struct ScalarLanes {
   static Vec Add(Vec a, Vec b) { return a + b; }
   static Vec Mul(Vec a, Vec b) { return a * b; }
   static Vec Relu(Vec v) { return v < 0.0f ? 0.0f : v; }
+  // All-ones bits where x != 0 (NaN included: unordered), else +0.
+  static Vec NonZeroMask(Vec x) {
+    return std::bit_cast<float>(-static_cast<uint32_t>(x != 0.0f));
+  }
+  static Vec And(Vec mask, Vec v) {
+    return std::bit_cast<float>(std::bit_cast<uint32_t>(mask) &
+                                std::bit_cast<uint32_t>(v));
+  }
   static void LoadTransposed(const float* base, size_t stride,
                              Vec out[kWidth]) {
     (void)stride;
@@ -114,6 +127,10 @@ struct Avx2Lanes {
   // unordered, so -0.0f passes through and NaN stays NaN — exactly
   // `v < 0.0f ? 0.0f : v`.
   static Vec Relu(Vec v) { return _mm256_max_ps(Zero(), v); }
+  static Vec NonZeroMask(Vec x) {
+    return _mm256_cmp_ps(x, Zero(), _CMP_NEQ_UQ);
+  }
+  static Vec And(Vec mask, Vec v) { return _mm256_and_ps(mask, v); }
   // 8x8 in-register transpose of the tile whose row t is
   // base[t*stride .. t*stride+7]; out[c] holds column c across the 8
   // rows. Standard unpack/shuffle/permute2f128 sequence.
@@ -170,6 +187,9 @@ struct Sse2Lanes {
   static Vec Mul(Vec a, Vec b) { return _mm_mul_ps(a, b); }
   // Same -0.0/NaN reasoning as the AVX2 variant.
   static Vec Relu(Vec v) { return _mm_max_ps(Zero(), v); }
+  // cmpneqps is the unordered not-equal: NaN lanes are set.
+  static Vec NonZeroMask(Vec x) { return _mm_cmpneq_ps(x, Zero()); }
+  static Vec And(Vec mask, Vec v) { return _mm_and_ps(mask, v); }
   static void LoadTransposed(const float* base, size_t stride,
                              Vec out[kWidth]) {
     __m128 r0 = _mm_loadu_ps(base + 0 * stride);
@@ -201,6 +221,14 @@ struct NeonLanes {
   // vmaxq would return +0.0 for -0.0 input; the select reproduces the
   // scalar `v < 0.0f ? 0.0f : v` exactly (NaN < 0 is false -> NaN kept).
   static Vec Relu(Vec v) { return vbslq_f32(vcltq_f32(v, Zero()), Zero(), v); }
+  // NOT(x == 0): NaN compares unequal, so its lanes are set.
+  static Vec NonZeroMask(Vec x) {
+    return vreinterpretq_f32_u32(vmvnq_u32(vceqq_f32(x, Zero())));
+  }
+  static Vec And(Vec mask, Vec v) {
+    return vreinterpretq_f32_u32(
+        vandq_u32(vreinterpretq_u32_f32(mask), vreinterpretq_u32_f32(v)));
+  }
   static void LoadTransposed(const float* base, size_t stride,
                              Vec out[kWidth]) {
     const float32x4_t r0 = vld1q_f32(base + 0 * stride);

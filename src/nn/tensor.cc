@@ -360,7 +360,94 @@ void MatMulTransBRowsVec(const Tensor& a, const Tensor& b, Tensor* c,
   }
 }
 
+// One register tile of AffineRows: R rows x CV vectors of W columns,
+// starting at column j of W/b/y. The accumulators acc[R][CV] live in
+// registers across the whole p loop; every term is masked rather than
+// skipped. Masking cannot change a bit: an accumulator that starts at
+// +0 never becomes -0 (a sum is -0 only if both addends are -0, and an
+// exact cancellation rounds to +0), and x + (+0) == x for every x other
+// than -0 — so adding the masked +0 leaves it exactly as skipping the
+// term did, while an inf/NaN weight facing a zero input still adds
+// nothing. A NaN input is not masked (NaN != 0), as it was not skipped.
+template <typename L, size_t R, size_t CV>
+inline void AffineTile(const float* x, size_t k, const float* w, size_t m,
+                       const float* b, bool relu, float* y) {
+  using Vec = typename L::Vec;
+  constexpr size_t W = L::kWidth;
+  Vec acc[R][CV];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t c = 0; c < CV; ++c) acc[r][c] = L::Zero();
+  }
+  for (size_t p = 0; p < k; ++p) {
+    Vec wv[CV];
+    for (size_t c = 0; c < CV; ++c) wv[c] = L::Load(w + p * m + c * W);
+    for (size_t r = 0; r < R; ++r) {
+      const Vec a = L::Broadcast(x[r * k + p]);
+      const Vec keep = L::NonZeroMask(a);
+      for (size_t c = 0; c < CV; ++c) {
+        acc[r][c] = L::Add(acc[r][c], L::And(keep, L::Mul(a, wv[c])));
+      }
+    }
+  }
+  for (size_t c = 0; c < CV; ++c) {
+    const Vec bv = L::Load(b + c * W);
+    for (size_t r = 0; r < R; ++r) {
+      const Vec v = L::Add(acc[r][c], bv);
+      L::Store(y + r * m + c * W, relu ? L::Relu(v) : v);
+    }
+  }
+}
+
+// R rows, every column of W: wide tiles, then single vectors, then the
+// scalar column tail — the same per-element sequence at every width.
+template <typename L, size_t R>
+void AffineTileRows(const float* x, size_t k, const float* w, size_t m,
+                    const float* b, bool relu, float* y) {
+  constexpr size_t W = L::kWidth;
+  constexpr size_t CV = R <= 2 ? 4 : 2;  // R * CV accumulators
+  size_t j = 0;
+  for (; j + CV * W <= m; j += CV * W) {
+    AffineTile<L, R, CV>(x, k, w + j, m, b + j, relu, y + j);
+  }
+  for (; j + W <= m; j += W) {
+    AffineTile<L, R, 1>(x, k, w + j, m, b + j, relu, y + j);
+  }
+  for (; j < m; ++j) {
+    AffineTile<simd::ScalarLanes, R, 1>(x, k, w + j, m, b + j, relu, y + j);
+  }
+}
+
+template <typename L>
+void AffineRowsImpl(const float* x, size_t n, size_t k, const float* w,
+                    size_t m, const float* b, bool relu, float* y) {
+  static_assert(kAffineTileRows == 4);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    AffineTileRows<L, 4>(x + i * k, k, w, m, b, relu, y + i * m);
+  }
+  x += i * k;
+  y += i * m;
+  switch (n - i) {
+    case 3: AffineTileRows<L, 3>(x, k, w, m, b, relu, y); break;
+    case 2: AffineTileRows<L, 2>(x, k, w, m, b, relu, y); break;
+    case 1: AffineTileRows<L, 1>(x, k, w, m, b, relu, y); break;
+    default: break;
+  }
+}
+
 }  // namespace
+
+void AffineRows(const float* x, size_t n, const Tensor& w, const float* b,
+                bool relu, float* y) {
+  const size_t k = w.rows(), m = w.cols();
+  if constexpr (simd::kHaveNativeLanes) {
+    if (SimdEnabled()) {
+      AffineRowsImpl<simd::NativeLanes>(x, n, k, w.RowPtr(0), m, b, relu, y);
+      return;
+    }
+  }
+  AffineRowsImpl<simd::ScalarLanes>(x, n, k, w.RowPtr(0), m, b, relu, y);
+}
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   CONFCARD_DCHECK(a.cols() == b.rows());

@@ -131,6 +131,25 @@ struct SparseRows {
 
 /// C = A * B. Shapes: (n,k) x (k,m) -> (n,m).
 Tensor MatMul(const Tensor& a, const Tensor& b);
+/// Rows per register tile of AffineRows.
+inline constexpr size_t kAffineTileRows = 4;
+
+/// Inference kernel of a dense layer: y = act(x * W + b) for the n rows
+/// of `x` (row stride W.rows()), written to `y` (row stride W.cols());
+/// act is the ReLU clamp when `relu`, else the identity. Computed on
+/// tiles of up to kAffineTileRows rows x a few vectors of columns whose
+/// accumulators stay in registers over the whole reduction, with bias
+/// and clamp applied in registers and each output stored once. Per
+/// element the sequence is MatMul's — mul, then add, over ascending p,
+/// zero inputs skipped — then + b, then the clamp, so rows match
+/// MatMul + bias (+ Relu) bit for bit for finite W, and each row's value
+/// never depends on the other rows. The zero skip is a mask on the
+/// product rather than a branch; it keeps the skip's meaning exactly
+/// for non-finite weights too (an inf weight facing a zero input adds
+/// nothing). Serial, allocation-free; `x` and `y` must not overlap.
+void AffineRows(const float* x, size_t n, const Tensor& w, const float* b,
+                bool relu, float* y);
+
 /// C = A^T * B. Shapes: (k,n) x (k,m) -> (n,m).
 Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 /// C = A * B^T. Shapes: (n,k) x (m,k) -> (n,m).

@@ -20,10 +20,9 @@
 //   * The steady-state hot path — submit, queue transfer, batch
 //     assembly, guarded batched inference, interval inversion, response
 //     publication — performs zero heap allocations at every batch size
-//     1..B: queue cells and Query slots are preallocated, and each worker
-//     primes the guard's per-thread buffers and the model's
-//     arena-recycled tensors for every batch size before its first
-//     batch.
+//     1..B: queue cells and Query slots are preallocated, each worker
+//     primes the guard's per-thread buffers for every batch size before
+//     its first batch, and LW-NN's inference allocates nothing.
 //   * Load is shed, never queued unboundedly: a full shard queue or an
 //     open breaker above the admission watermark fails fast with a
 //     trivially valid [0, N] interval flagged shed+degraded.

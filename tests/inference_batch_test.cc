@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <set>
 #include <vector>
 
 #include "ce/estimator.h"
@@ -21,6 +23,7 @@
 #include "ce/naru.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "data/datasets.h"
 #include "data/generators.h"
 #include "data/multitable.h"
 #include "nn/layers.h"
@@ -196,6 +199,56 @@ TEST(InferenceBatchTest, MscnAndLwnnBatchMatchesLoop) {
 // MSCN over joins: every DSB template (2-5 tables, 1-4 joins, 1-4
 // predicates) plus a predicate-free query, in a batch that crosses the
 // 256-query chunk boundary.
+// Golden inference bits across versions. The identity tests above
+// compare the current code with itself; these fingerprints pin the exact
+// output bits of trained LW-NN and MSCN models on a fixed DMV smoke
+// workload, as recorded from the GEMM-based forward that preceded the
+// register-tiled one (nn::AffineRows), so any change to an estimate's
+// bits — however consistent with itself — fails here.
+uint64_t FingerprintEstimates(const std::vector<double>& est) {
+  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the bytes
+  for (double v : est) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xFFu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(InferenceBatchTest, GoldenLwnnAndMscnFingerprints) {
+  const Table table = MakeDmv(4000, 3).value();
+  WorkloadConfig wc;
+  wc.num_queries = 300;
+  wc.seed = 17;
+  const Workload workload = GenerateWorkload(table, wc).value();
+  std::vector<Query> queries;
+  for (const LabeledQuery& lq : workload) queries.push_back(lq.query);
+  std::vector<double> est(queries.size());
+
+  LwnnEstimator::Options lo;
+  lo.hidden1 = 32;
+  lo.hidden2 = 16;
+  lo.epochs = 4;
+  LwnnEstimator lwnn(lo);
+  ASSERT_TRUE(lwnn.Train(table, workload).ok());
+  lwnn.EstimateBatch(queries.data(), queries.size(), est.data());
+  EXPECT_GT(std::set<double>(est.begin(), est.end()).size(), 100u);
+  EXPECT_EQ(FingerprintEstimates(est), 0xdec4068917584f96ull);
+
+  MscnEstimator::Options mo;
+  mo.model.set_hidden = 32;
+  mo.model.final_hidden = 32;
+  mo.model.epochs = 3;
+  MscnEstimator mscn(mo);
+  ASSERT_TRUE(mscn.Train(table, workload).ok());
+  mscn.EstimateBatch(queries.data(), queries.size(), est.data());
+  EXPECT_GT(std::set<double>(est.begin(), est.end()).size(), 100u);
+  EXPECT_EQ(FingerprintEstimates(est), 0x52c97146b8c6bc94ull);
+}
+
 TEST(InferenceBatchTest, MscnJoinBatchMatchesLoop) {
   const Database db = MakeDsbLike(1500, 41).value();
   JoinWorkloadConfig jc;

@@ -106,7 +106,7 @@ class GateEstimator : public CardinalityEstimator {
 // Wraps an estimator whose EstimateBatch, while the latch is closed,
 // blocks until it opens; counts the batches that entered it. Lets a
 // test hold a worker inside a batch while Stop() begins or a backlog
-// builds. Priming passes straight through to the inner estimator.
+// builds.
 class LatchEstimator : public CardinalityEstimator {
  public:
   explicit LatchEstimator(const CardinalityEstimator& inner) : inner_(inner) {}
@@ -121,9 +121,6 @@ class LatchEstimator : public CardinalityEstimator {
     entered_.fetch_add(1, std::memory_order_acq_rel);
     while (closed_.load(std::memory_order_acquire)) std::this_thread::yield();
     inner_.EstimateBatch(queries, n, out);
-  }
-  void PrimeBatchSizes(size_t max_batch) const override {
-    inner_.PrimeBatchSizes(max_batch);
   }
   void set_closed(bool closed) {
     closed_.store(closed, std::memory_order_release);
@@ -602,9 +599,9 @@ TEST(ServeTest, BacklogFormsOneBatch) {
   front.Stop();
 }
 
-// A trained LW-NN behind the latch, so the forward pass draws its
-// activations from the arena: one batch of every size 1..max_batch after
-// start-up, none of them seen before, allocates nothing.
+// A trained LW-NN behind the latch: one batch of every size
+// 1..max_batch after start-up, none of them seen before (the first the
+// model ever runs included), allocates nothing.
 TEST(ServeTest, AllocationFreeAtEveryBatchSize) {
   if (!nn::ArenaEnabled()) {
     GTEST_SKIP() << "arena disabled via CONFCARD_ARENA";
@@ -616,9 +613,9 @@ TEST(ServeTest, AllocationFreeAtEveryBatchSize) {
   lo.epochs = 2;
   LwnnEstimator lwnn(lo);
   ASSERT_TRUE(lwnn.Train(f.base.table, f.base.workload).ok());
-  // A served model has estimated before (its calibration); the first
-  // estimate in a process registers the model's metrics, once.
-  lwnn.EstimateCardinality(f.base.workload[0].query);
+  // No estimate before the first batch: the model registered its
+  // metrics when it was constructed, so even the first batch it ever
+  // runs must not allocate.
   LatchEstimator primary(lwnn);
   GuardedEstimator guard(primary, f.base.table);
   constexpr int kMaxBatch = 12;

@@ -3,20 +3,23 @@
 // reference kernels at every shape, including the awkward ones: output
 // widths hitting every lane-tail residue, reduction depths hitting the
 // transpose-tile p-tail, empty tensors, and non-finite values through
-// the fused ReLU. Comparisons are bitwise (memcmp), not EXPECT_FLOAT_EQ
-// — the contract is identity, not closeness. In a CONFCARD_SIMD=off
-// build SetSimdEnabled(true) is a no-op and every case degenerates to
-// scalar-vs-scalar, so the suite stays green there by construction.
+// the dense inference kernel (AffineRows). Comparisons are bitwise
+// (memcmp), not EXPECT_FLOAT_EQ — the contract is identity, not
+// closeness. In a CONFCARD_SIMD=off build SetSimdEnabled(true) is a
+// no-op and every case degenerates to scalar-vs-scalar, so the suite
+// stays green there by construction.
 #include "nn/simd.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
 #include "nn/layers.h"
+#include "nn/mlp.h"
 #include "nn/tensor.h"
 
 namespace confcard {
@@ -125,7 +128,36 @@ TEST(SimdKernelTest, MatMulTransBBitIdenticalAcrossShapes) {
   });
 }
 
-TEST(SimdKernelTest, ApplyActivatedBitIdenticalIncludingNonFinite) {
+// AffineRows on the rows of `in` (a dense layer's inference kernel).
+Tensor Affine(const Dense& dense, const Tensor& in, bool relu) {
+  Tensor out = Tensor::Uninitialized(in.rows(), dense.out_dim());
+  AffineRows(in.data().data(), in.rows(), dense.weight().value,
+             dense.bias().value.data().data(), relu, out.data().data());
+  return out;
+}
+
+// The kernel's documented meaning, one row and one element at a time:
+// mul, then add, over ascending p, zero inputs skipped; + bias; clamp.
+Tensor NaiveAffine(const Dense& dense, const Tensor& in, bool relu) {
+  const Tensor& w = dense.weight().value;
+  const float* b = dense.bias().value.data().data();
+  Tensor out = Tensor::Uninitialized(in.rows(), w.cols());
+  for (size_t i = 0; i < in.rows(); ++i) {
+    for (size_t j = 0; j < w.cols(); ++j) {
+      float acc = 0.0f;
+      for (size_t p = 0; p < w.rows(); ++p) {
+        const float x = in.At(i, p);
+        if (x == 0.0f) continue;
+        acc += x * w.At(p, j);
+      }
+      const float v = acc + b[j];
+      out.At(i, j) = relu && v < 0.0f ? 0.0f : v;
+    }
+  }
+  return out;
+}
+
+TEST(SimdKernelTest, AffineRowsBitIdenticalIncludingNonFinite) {
   SimdRestorer restore;
   Rng rng(4567);
   const size_t w = SimdLaneWidth();
@@ -140,17 +172,18 @@ TEST(SimdKernelTest, ApplyActivatedBitIdenticalIncludingNonFinite) {
     in.data()[7] = -0.0f;
     for (bool relu : {true, false}) {
       SetSimdEnabled(false);
-      Tensor ref = dense.ApplyActivated(in, relu);
+      Tensor ref = Affine(dense, in, relu);
       SetSimdEnabled(true);
-      Tensor got = dense.ApplyActivated(in, relu);
-      ExpectBitIdentical(ref, got, relu ? "ApplyActivated+relu"
-                                        : "ApplyActivated");
+      Tensor got = Affine(dense, in, relu);
+      ExpectBitIdentical(ref, got, relu ? "AffineRows+relu" : "AffineRows");
+      ExpectBitIdentical(NaiveAffine(dense, in, relu), got, "naive");
     }
   }
 }
 
-TEST(SimdKernelTest, ApplyActivatedMatchesApplyThenRelu) {
-  // The documented fusion identity, now across both kernel paths.
+TEST(SimdKernelTest, AffineRowsMatchesApplyThenRelu) {
+  // The fusion identity, across both kernel paths: the register-tiled
+  // kernel against the staged GEMM + bias + ReLU chain.
   SimdRestorer restore;
   Rng rng(5678);
   Dense dense(8, 13, rng);
@@ -158,9 +191,118 @@ TEST(SimdKernelTest, ApplyActivatedMatchesApplyThenRelu) {
   Relu relu_layer;
   for (bool simd : {false, true}) {
     SetSimdEnabled(simd);
-    Tensor fused = dense.ApplyActivated(in, /*relu=*/true);
-    Tensor staged = relu_layer.Apply(dense.Apply(in));
-    ExpectBitIdentical(staged, fused, "fusion identity");
+    ExpectBitIdentical(relu_layer.Apply(dense.Apply(in)),
+                       Affine(dense, in, /*relu=*/true), "fusion identity");
+    ExpectBitIdentical(dense.Apply(in), Affine(dense, in, /*relu=*/false),
+                       "no clamp");
+  }
+}
+
+// Every register-tile shape: k and m around the lane width and its
+// multiples (column blocks, single vectors, scalar tails), n = 1..9
+// (every row-tile size and a remainder after full tiles), with exact
+// zeros and -0.0 in the input.
+TEST(SimdKernelTest, AffineRowsShapeSweepMatchesGemm) {
+  SimdRestorer restore;
+  Rng rng(7890);
+  const std::vector<size_t> dims = {1, 7, 8, 9, 31, 33, 64, 65};
+  for (size_t k : dims) {
+    for (size_t m : dims) {
+      Dense dense(k, m, rng);
+      for (float& v : dense.bias().value.data()) {
+        v = static_cast<float>(rng.NextGaussian());
+      }
+      for (size_t n = 1; n <= 9; ++n) {
+        SCOPED_TRACE(testing::Message() << "k=" << k << " m=" << m
+                                        << " n=" << n);
+        Tensor in = RandomTensor(n, k, 0.4, rng);
+        in.data()[(n * k) / 2] = -0.0f;
+        for (bool relu : {true, false}) {
+          SetSimdEnabled(false);
+          const Tensor ref = Affine(dense, in, relu);
+          const Tensor gemm = relu ? Relu().Apply(dense.Apply(in))
+                                   : dense.Apply(in);
+          SetSimdEnabled(true);
+          const Tensor got = Affine(dense, in, relu);
+          ExpectBitIdentical(ref, got, "scalar vs simd");
+          ExpectBitIdentical(gemm, got, "gemm vs AffineRows");
+        }
+      }
+    }
+  }
+}
+
+// The zero skip is a mask, not a dropped branch: an inf weight facing a
+// zero (or -0.0) input adds nothing, in one-row tiles and in tiles where
+// another row is nonzero at the same p; a NaN input is not skipped.
+TEST(SimdKernelTest, AffineRowsInfWeightFacingZeroInputAddsNothing) {
+  SimdRestorer restore;
+  Rng rng(8901);
+  const size_t w = SimdLaneWidth();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (size_t m : {size_t{1}, w, 2 * w + 3, 4 * w + 1}) {
+    const size_t k = 12;
+    Dense dense(k, m, rng);
+    for (size_t j = 0; j < m; ++j) {
+      dense.weight().value.At(2, j) = j % 2 == 0 ? inf : -inf;
+      dense.weight().value.At(5, j) = std::nanf("");
+    }
+    for (size_t n = 1; n <= 9; ++n) {
+      SCOPED_TRACE(testing::Message() << "m=" << m << " n=" << n);
+      Tensor in = RandomTensor(n, k, 0.0, rng);
+      for (size_t i = 0; i < n; ++i) {
+        // Rows alternate between facing the non-finite weights with a
+        // zero and with a value, so multi-row tiles mix both.
+        if (i % 2 == 0) {
+          in.At(i, 2) = i % 4 == 0 ? 0.0f : -0.0f;
+          in.At(i, 5) = 0.0f;
+        }
+      }
+      if (n >= 2) in.At(1, 7) = std::nanf("");  // odd rows are non-finite
+      for (bool relu : {true, false}) {
+        const Tensor want = NaiveAffine(dense, in, relu);
+        for (size_t i = 0; i < n; i += 2) {
+          for (size_t j = 0; j < m; ++j) {
+            ASSERT_TRUE(std::isfinite(want.At(i, j))) << i << "," << j;
+          }
+        }
+        for (bool simd : {false, true}) {
+          SetSimdEnabled(simd);
+          ExpectBitIdentical(want, Affine(dense, in, relu),
+                             simd ? "simd" : "scalar");
+        }
+      }
+    }
+  }
+}
+
+// Mlp::ApplyRows: bit-identical to the training Forward, on both kernel
+// paths, and each row independent of how the rows are split into calls
+// (every composition of 9 rows into consecutive calls).
+TEST(SimdKernelTest, MlpApplyRowsMatchesForwardUnderEveryRowPartition) {
+  SimdRestorer restore;
+  Rng rng(9012);
+  const size_t w = SimdLaneWidth();
+  Mlp mlp({13, 2 * w + 1, 17, 3}, rng);
+  const size_t n = 9;
+  Tensor in = RandomTensor(n, 13, 0.3, rng);
+  in.data()[4] = -0.0f;
+  SetSimdEnabled(false);
+  const Tensor want = mlp.Forward(in);
+  for (bool simd : {false, true}) {
+    SetSimdEnabled(simd);
+    ExpectBitIdentical(want, mlp.Apply(in), "Apply vs Forward");
+    for (uint32_t cuts = 0; cuts < (1u << (n - 1)); ++cuts) {
+      Tensor got = Tensor::Uninitialized(n, 3);
+      size_t r0 = 0;
+      for (size_t r = 1; r <= n; ++r) {
+        if (r == n || (cuts >> (r - 1)) & 1u) {
+          mlp.ApplyRows(in.RowPtr(r0), r - r0, got.RowPtr(r0));
+          r0 = r;
+        }
+      }
+      ExpectBitIdentical(want, got, "row partition");
+    }
   }
 }
 
