@@ -121,11 +121,12 @@ inline NaruConfig NaruDefaults() {
   return c;
 }
 
-/// The stack the serving benches drive: one LW-NN trained once on the
-/// train split, one GuardedEstimator per shard over it, and split
-/// conformal (q-error scoring) calibrated on the model's batched
-/// calibration estimates. A guard keeps its own breaker state and does
-/// not own its primary, so every shard shares the one immutable model.
+/// The serving stack `bench_drift` and perf_gate_test drive: one LW-NN
+/// trained once on the train split, one GuardedEstimator per shard over
+/// it, and split conformal (q-error scoring) calibrated on the model's
+/// batched calibration estimates. A guard keeps its own breaker state
+/// and does not own its primary, so every shard shares the one immutable
+/// model.
 struct ServingStack {
   Splits splits;
   std::unique_ptr<LwnnEstimator> model;

@@ -52,7 +52,7 @@ struct GuardOptions {
 /// Caller-owned reusable buffers for the guarded tier walk. A serving
 /// loop that keeps one scratch per worker pays zero heap allocations per
 /// batch once the vectors have grown to the loop's steady-state batch
-/// size (bench_serving gates this).
+/// size (ServeTest.AllocationFreeAtEveryBatchSize gates this).
 struct GuardBatchScratch {
   std::vector<size_t> pending;     // indices still walking the tiers
   std::vector<uint8_t> fate;       // per-query admission/outcome

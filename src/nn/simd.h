@@ -33,8 +33,7 @@
 // At runtime, SetSimdEnabled(false) (or the CONFCARD_SIMD=off
 // environment variable) switches every kernel back to its scalar
 // reference implementation — both paths live in the binary, which is
-// what lets tests assert scalar-vs-SIMD bit identity and lets
-// bench_parallel report honest scalar-vs-SIMD kernel numbers.
+// what lets tests assert scalar-vs-SIMD bit identity (simd_test).
 #ifndef CONFCARD_NN_SIMD_H_
 #define CONFCARD_NN_SIMD_H_
 

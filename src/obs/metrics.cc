@@ -18,12 +18,6 @@ uint32_t AssignMetricShard() {
 
 }  // namespace internal
 
-void SetMetricsEnabled(bool enabled) {
-  internal::g_metrics_recording.store(enabled, std::memory_order_relaxed);
-}
-
-bool MetricsEnabled() { return internal::RecordingEnabled(); }
-
 // fetch_add on atomic<double> is C++20 but spotty in older libstdc++;
 // a relaxed CAS loop is portable and just as fast uncontended. With the
 // histogram shards each loop runs against a thread-private slot, so the
@@ -88,7 +82,6 @@ size_t BucketIndex(double value) {
 }  // namespace
 
 void Histogram::Record(double value) {
-  if (!internal::RecordingEnabled()) return;
   if (std::isnan(value)) return;
   value = std::max(value, 0.0);
   Shard& s = shards_[internal::MetricShardIndex()];

@@ -38,18 +38,10 @@ namespace obs {
 /// kMetricShards of them record concurrently.
 inline constexpr size_t kMetricShards = 16;
 
-/// Runtime kill switch for every metric record path. With recording
-/// disabled, Counter::Increment, Gauge::Set, and Histogram::Record
-/// reduce to one relaxed load and a branch — the "obs off" baseline that
-/// bench_obs compares against. Registration, snapshots, and metadata are
-/// unaffected. Defaults to enabled.
-void SetMetricsEnabled(bool enabled);
-bool MetricsEnabled();
-
 /// NaN-safe relaxed atomic helpers for doubles (used by the histogram
-/// shards; exposed for tests and benches). A NaN delta or candidate is
-/// dropped instead of poisoning the accumulator, and a NaN already in
-/// `target` is replaced by the first well-formed candidate.
+/// shards; exposed for tests). A NaN delta or candidate is dropped
+/// instead of poisoning the accumulator, and a NaN already in `target`
+/// is replaced by the first well-formed candidate.
 void AtomicAddDouble(std::atomic<double>* target, double delta);
 void AtomicMinDouble(std::atomic<double>* target, double value);
 void AtomicMaxDouble(std::atomic<double>* target, double value);
@@ -64,14 +56,6 @@ inline uint32_t MetricShardIndex() {
   return idx;
 }
 
-/// Backing flag for SetMetricsEnabled, inline so the record-path check
-/// compiles to a single relaxed load without a function call.
-inline std::atomic<bool> g_metrics_recording{true};
-
-inline bool RecordingEnabled() {
-  return g_metrics_recording.load(std::memory_order_relaxed);
-}
-
 struct alignas(64) PaddedCount {
   std::atomic<uint64_t> v{0};
 };
@@ -83,7 +67,6 @@ struct alignas(64) PaddedCount {
 class Counter {
  public:
   void Increment(uint64_t n = 1) {
-    if (!internal::RecordingEnabled()) return;
     shards_[internal::MetricShardIndex()].v.fetch_add(
         n, std::memory_order_relaxed);
   }
@@ -109,7 +92,6 @@ class Counter {
 class Gauge {
  public:
   void Set(double v) {
-    if (!internal::RecordingEnabled()) return;
     value_.store(v, std::memory_order_relaxed);
   }
   double value() const { return value_.load(std::memory_order_relaxed); }

@@ -442,7 +442,8 @@ void ServeFrontEnd::WorkerLoop(Shard* shard) {
       shard->depth.fetch_sub(1, std::memory_order_seq_cst);
       // The whole batch cycle — assembly, guarded batched inference,
       // interval inversion, publication — is alloc-counted; after
-      // warmup the delta must be zero (bench_serving gates it).
+      // warmup the delta must be zero (ServeTest's AllocationFree cases
+      // gate it).
       const uint64_t allocs_before = obs::prof::ThreadAllocCount();
       ProcessFrom(shard, first);
       shard->hot_allocs.fetch_add(

@@ -11,18 +11,20 @@
 // the guard's circuit breaker, and a response path that carries the
 // conformal prediction interval plus degraded/shed provenance per query.
 //
-// Contracts the tests and bench_serving gate:
+// Contracts serve_test gates:
 //   * Batching is bit-identical to the per-query guarded path when no
 //     faults are armed (EstimateBatch's bit-identity contract composes
 //     with any batch partition the timing produces), at any shard count
 //     when every shard's guard wraps the same model (or identically
-//     trained ones).
+//     trained ones). Cases: BatchedPathBitIdenticalToPerQueryGuardedPath,
+//     FourShardsBitIdenticalToOneShard.
 //   * The steady-state hot path — submit, queue transfer, batch
 //     assembly, guarded batched inference, interval inversion, response
 //     publication — performs zero heap allocations at every batch size
 //     1..B: queue cells and Query slots are preallocated, each worker
 //     primes the guard's per-thread buffers for every batch size before
-//     its first batch, and LW-NN's inference allocates nothing.
+//     its first batch, and LW-NN's inference allocates nothing. Cases:
+//     SteadyStateHotPathIsAllocationFree, AllocationFreeAtEveryBatchSize.
 //   * Load is shed, never queued unboundedly: a full shard queue or an
 //     open breaker above the admission watermark fails fast with a
 //     trivially valid [0, N] interval flagged shed+degraded.
@@ -256,8 +258,8 @@ class ServeFrontEnd {
   const Options& options() const { return options_; }
 
   /// Heap allocations performed inside worker batch cycles (pop ->
-  /// publish) since the last ResetStats. Read when quiesced; the
-  /// steady-state gate in bench_serving expects a delta of zero.
+  /// publish) since the last ResetStats. Read when quiesced; serve_test's
+  /// allocation gates expect a delta of zero.
   uint64_t HotPathAllocs() const;
   /// counts[b] = micro-batches dispatched with exactly b requests,
   /// summed over shards (index 0 unused). Read when quiesced.

@@ -1,9 +1,9 @@
 // The determinism contract of the parallel harness: running the same
-// tiny single-table experiment at CONFCARD_THREADS=1 and =4 must produce
-// bit-identical intervals, identical coverage gauges, and byte-identical
-// event-log payloads (after stripping the wall-clock latency field and
-// the process-global run ordinal, the only legitimately timing-dependent
-// values).
+// tiny single-table experiment at CONFCARD_THREADS=1, =2 and =4 must
+// produce bit-identical intervals, identical coverage gauges, and
+// byte-identical event-log payloads (after stripping the wall-clock
+// latency field and the process-global run ordinal, the only
+// legitimately timing-dependent values).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -142,32 +142,36 @@ TEST(DeterminismTest, OneThreadAndFourThreadsProduceIdenticalRuns) {
   Fixture f = MakeFixture();
   const std::string dir = ::testing::TempDir();
   RunOutput serial = RunExperiment(f, 1, dir + "determinism_t1.jsonl");
-  RunOutput pooled = RunExperiment(f, 4, dir + "determinism_t4.jsonl");
-  SetThreads(saved_threads);
-
-  ASSERT_EQ(serial.results.size(), pooled.results.size());
-  for (size_t m = 0; m < serial.results.size(); ++m) {
-    const MethodResult& a = serial.results[m];
-    const MethodResult& b = pooled.results[m];
-    SCOPED_TRACE(a.model + "/" + a.method);
-    EXPECT_EQ(a.model, b.model);
-    EXPECT_EQ(a.method, b.method);
-    ASSERT_EQ(a.rows.size(), b.rows.size());
-    for (size_t i = 0; i < a.rows.size(); ++i) {
-      // Bit-identical, not approximately equal: the whole point of the
-      // determinism contract.
-      ASSERT_EQ(a.rows[i].truth, b.rows[i].truth) << "query " << i;
-      ASSERT_EQ(a.rows[i].estimate, b.rows[i].estimate) << "query " << i;
-      ASSERT_EQ(a.rows[i].lo, b.rows[i].lo) << "query " << i;
-      ASSERT_EQ(a.rows[i].hi, b.rows[i].hi) << "query " << i;
+  // Two threads as well as four: an odd split of the folds across
+  // workers must not change a bit either.
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    RunOutput pooled = RunExperiment(
+        f, threads, dir + "determinism_t" + std::to_string(threads) + ".jsonl");
+    ASSERT_EQ(serial.results.size(), pooled.results.size());
+    for (size_t m = 0; m < serial.results.size(); ++m) {
+      const MethodResult& a = serial.results[m];
+      const MethodResult& b = pooled.results[m];
+      SCOPED_TRACE(a.model + "/" + a.method);
+      EXPECT_EQ(a.model, b.model);
+      EXPECT_EQ(a.method, b.method);
+      ASSERT_EQ(a.rows.size(), b.rows.size());
+      for (size_t i = 0; i < a.rows.size(); ++i) {
+        // Bit-identical, not approximately equal: the whole point of the
+        // determinism contract.
+        ASSERT_EQ(a.rows[i].truth, b.rows[i].truth) << "query " << i;
+        ASSERT_EQ(a.rows[i].estimate, b.rows[i].estimate) << "query " << i;
+        ASSERT_EQ(a.rows[i].lo, b.rows[i].lo) << "query " << i;
+        ASSERT_EQ(a.rows[i].hi, b.rows[i].hi) << "query " << i;
+      }
+      EXPECT_EQ(a.coverage, b.coverage);
+      EXPECT_EQ(a.mean_width_sel, b.mean_width_sel);
+      EXPECT_EQ(serial.coverage_gauges[m], pooled.coverage_gauges[m]);
     }
-    EXPECT_EQ(a.coverage, b.coverage);
-    EXPECT_EQ(a.mean_width_sel, b.mean_width_sel);
-    EXPECT_EQ(serial.coverage_gauges[m], pooled.coverage_gauges[m]);
+    EXPECT_EQ(serial.normalized_events, pooled.normalized_events);
   }
-
+  SetThreads(saved_threads);
   EXPECT_FALSE(serial.normalized_events.empty());
-  EXPECT_EQ(serial.normalized_events, pooled.normalized_events);
 }
 
 // The batched-inference contract: EstimateBatch must be bit-identical to

@@ -168,32 +168,6 @@ TEST(AtomicMinMaxTest, AddDropsNaNDelta) {
   EXPECT_DOUBLE_EQ(sum.load(), 5.0);
 }
 
-TEST(KillSwitchTest, DisabledRecordingIsANoOp) {
-  Counter& c = Metrics().GetCounter("shard_test.kill.counter");
-  Gauge& g = Metrics().GetGauge("shard_test.kill.gauge");
-  Histogram& h = Metrics().GetHistogram("shard_test.kill.hist");
-  c.Reset();
-  g.Reset();
-  h.Reset();
-  g.Set(1.0);
-  ASSERT_TRUE(MetricsEnabled());
-  SetMetricsEnabled(false);
-  EXPECT_FALSE(MetricsEnabled());
-  c.Increment(5);
-  g.Set(42.0);
-  h.Record(100.0);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_DOUBLE_EQ(g.value(), 1.0);
-  EXPECT_EQ(h.TakeSnapshot().count, 0u);
-  SetMetricsEnabled(true);
-  c.Increment(5);
-  g.Set(42.0);
-  h.Record(100.0);
-  EXPECT_EQ(c.value(), 5u);
-  EXPECT_DOUBLE_EQ(g.value(), 42.0);
-  EXPECT_EQ(h.TakeSnapshot().count, 1u);
-}
-
 TEST(TextExpositionTest, FormatsCountersGaugesAndHistograms) {
   Metrics().ResetForTest();
   Metrics().SetMeta("scale", 1.0);

@@ -1,6 +1,7 @@
 // ThreadPool / ParallelFor semantics: every task runs exactly once,
 // destruction drains the queue, exceptions propagate to the caller, and
-// chunked loops cover [0, n) exactly once at any thread count. Also
+// chunked loops cover [0, n) exactly once at any thread count, and a
+// warm dispatch allocates nothing on the issuing thread. Also
 // covers the EventLog concurrent-append contract the parallel harness
 // loops rely on.
 #include "common/parallel.h"
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "obs/event_log.h"
+#include "obs/profiler.h"
 
 namespace confcard {
 namespace {
@@ -150,6 +152,27 @@ TEST(ParallelForTest, SlotResultsIdenticalAcrossThreadCounts) {
     return out;
   };
   EXPECT_EQ(run(1), run(4));
+}
+
+// After warm-up, issuing a ParallelFor performs zero heap allocations
+// on the issuing thread: the loop descriptor lives on the stack and
+// helper slots go through the pool's preallocated ring. Counted with
+// the per-thread operator-new counters (obs/profiler.h).
+TEST(ParallelForTest, DispatchIsAllocationFreeAfterWarmup) {
+  ThreadsRestorer restore;
+  SetThreads(4);
+  std::atomic<size_t> covered{0};
+  auto body = [&covered](size_t begin, size_t end) {
+    covered.fetch_add(end - begin, std::memory_order_relaxed);
+  };
+  // Warm-up: pool creation, metric registration, lazy statics.
+  for (int i = 0; i < 8; ++i) ParallelFor(1024, 16, body);
+  constexpr int kCalls = 200;
+  const uint64_t before = obs::prof::ThreadAllocCount();
+  for (int i = 0; i < kCalls; ++i) ParallelFor(1024, 16, body);
+  const uint64_t after = obs::prof::ThreadAllocCount();
+  EXPECT_EQ(after - before, 0u) << "over " << kCalls << " dispatches";
+  EXPECT_EQ(covered.load(), (8u + kCalls) * 1024u);
 }
 
 // Hammer for the allocation-free dispatch path: several external

@@ -3,7 +3,8 @@
 // oversubscribed ParallelFor hammer (tools/run_tsan_obs.sh runs this
 // suite under TSan); folded-output well-formedness and span-label
 // attribution are checked on real captures; the resource counters
-// backing span accounting must be monotone; and a death test proves a
+// backing span accounting must be monotone; a process that never armed
+// the profiler carries no prof.* metric; and a death test proves a
 // crashed run still leaves a parseable partial profile.
 //
 // gtest_discover_tests runs each case in its own process, so every case
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
@@ -159,6 +161,39 @@ TEST(ProfilerSmokeTest, ResourceCountersAreMonotonic) {
   prof::ThreadContextSwitches(&vol1, &invol1);
   EXPECT_GE(vol1, vol0);
   EXPECT_GE(invol1, invol0);
+}
+
+// Names of every registered prof.* counter, gauge and histogram.
+std::vector<std::string> ProfMetricNames() {
+  const MetricsRegistry::Snapshot snap = Metrics().TakeSnapshot();
+  std::vector<std::string> names;
+  auto collect = [&names](const std::string& name) {
+    if (name.rfind("prof.", 0) == 0) names.push_back(name);
+  };
+  for (const auto& entry : snap.counters) collect(entry.first);
+  for (const auto& entry : snap.gauges) collect(entry.first);
+  for (const auto& entry : snap.histograms) collect(entry.first);
+  return names;
+}
+
+// Profiler-off runs leave clean artifacts: however much instrumented
+// work runs, no prof.* metric exists until the profiler first arms.
+// One Start/Stop cycle then registers them, which shows the check can
+// see what it looks for.
+TEST(ProfilerSmokeTest, NoProfMetricsBeforeFirstArming) {
+  ASSERT_FALSE(prof::ProfilerEnabled());
+  ParallelFor(16, 1, [](size_t begin, size_t end) {
+    TraceSpan span("proftest.unarmed");
+    for (size_t i = begin; i < end; ++i) BurnCpuMillis(0.2);
+  });
+  const std::vector<std::string> before = ProfMetricNames();
+  EXPECT_TRUE(before.empty()) << "first: " << before.front();
+
+  const std::string path = TempPath("first_arming.folded");
+  ASSERT_TRUE(prof::StartProfiler(path, 99).ok());
+  ASSERT_TRUE(prof::StopProfilerAndWrite().ok());
+  EXPECT_FALSE(ProfMetricNames().empty());
+  std::remove(path.c_str());
 }
 
 TEST(ProfilerCrashTest, FatalSignalFlushesPartialProfile) {

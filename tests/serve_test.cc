@@ -29,7 +29,6 @@
 #include "conformal/scoring.h"
 #include "conformal/split.h"
 #include "data/generators.h"
-#include "nn/arena.h"
 #include "obs/metrics.h"
 #include "query/workload.h"
 
@@ -603,9 +602,6 @@ TEST(ServeTest, BacklogFormsOneBatch) {
 // 1..max_batch after start-up, none of them seen before (the first the
 // model ever runs included), allocates nothing.
 TEST(ServeTest, AllocationFreeAtEveryBatchSize) {
-  if (!nn::ArenaEnabled()) {
-    GTEST_SKIP() << "arena disabled via CONFCARD_ARENA";
-  }
   ServeFixture f;
   LwnnEstimator::Options lo;
   lo.hidden1 = 16;
